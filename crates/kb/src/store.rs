@@ -179,8 +179,13 @@ mod tests {
     use rb_llm::RepairRule;
     use rb_miri::UbClass;
 
-    fn scratch(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("rb_kb_store_{}", std::process::id()));
+    /// A path named `name` in a scratch directory private to `test`, so a
+    /// test that scans its directory never sees another test's files (the
+    /// tests run concurrently in one process).
+    fn scratch(test: &str, name: &str) -> PathBuf {
+        let dir = std::env::temp_dir()
+            .join(format!("rb_kb_store_{}", std::process::id()))
+            .join(test);
         std::fs::create_dir_all(&dir).unwrap();
         dir.join(name)
     }
@@ -198,7 +203,7 @@ mod tests {
 
     #[test]
     fn save_load_round_trips() {
-        let path = scratch("round_trip.rbkb");
+        let path = scratch("save_load_round_trips", "round_trip.rbkb");
         let original = entries();
         save(&path, &original).unwrap();
         assert_eq!(load(&path).unwrap(), original);
@@ -210,7 +215,7 @@ mod tests {
 
     #[test]
     fn save_leaves_no_temp_files() {
-        let path = scratch("no_droppings.rbkb");
+        let path = scratch("save_leaves_no_temp_files", "no_droppings.rbkb");
         save(&path, &entries()).unwrap();
         let dir = path.parent().unwrap();
         let leftovers: Vec<_> = std::fs::read_dir(dir)
@@ -229,7 +234,7 @@ mod tests {
         // thread's rename could promote the other's half-written bytes.
         // With the counter suffix every save is privately staged; the
         // destination is always some save's complete, decodable bytes.
-        let path = scratch("race.rbkb");
+        let path = scratch("concurrent_saves_to_one_path_never_tear", "race.rbkb");
         let a: Vec<KbEntry> = entries();
         let b: Vec<KbEntry> = {
             let mut b = entries();
@@ -270,7 +275,10 @@ mod tests {
             StoreLayout::Sharded
         );
         // An existing directory is sharded whatever it is called.
-        let dir = scratch("plain_dir");
+        let dir = scratch(
+            "layout_detection_follows_the_rbkb_d_convention",
+            "plain_dir",
+        );
         std::fs::create_dir_all(&dir).unwrap();
         assert_eq!(detect_layout(&dir), StoreLayout::Sharded);
         let _ = std::fs::remove_dir_all(&dir);
@@ -279,11 +287,17 @@ mod tests {
     #[test]
     fn save_any_and_load_any_round_trip_both_layouts() {
         let original = entries();
-        let file = scratch("any_single.rbkb");
+        let file = scratch(
+            "save_any_and_load_any_round_trip_both_layouts",
+            "any_single.rbkb",
+        );
         let report = save_any(&file, &original).unwrap();
         assert_eq!(report.shards_written, 1);
         assert_eq!(load_any(&file).unwrap(), original);
-        let dir = scratch("any_sharded.rbkb.d");
+        let dir = scratch(
+            "save_any_and_load_any_round_trip_both_layouts",
+            "any_sharded.rbkb.d",
+        );
         let report = save_any(&dir, &original).unwrap();
         assert_eq!(report.shards_written, 1, "one class, one segment");
         assert_eq!(load_any(&dir).unwrap(), original);
@@ -300,7 +314,7 @@ mod tests {
 
     #[test]
     fn corrupt_file_is_typed_not_a_panic() {
-        let path = scratch("corrupt.rbkb");
+        let path = scratch("corrupt_file_is_typed_not_a_panic", "corrupt.rbkb");
         save(&path, &entries()).unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
         let mid = bytes.len() / 2;

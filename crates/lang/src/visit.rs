@@ -41,7 +41,7 @@ pub fn child_branches(stmt: &Stmt) -> u8 {
 }
 
 /// Visits every statement of the program in pre-order, passing its path.
-pub fn for_each_stmt<F: FnMut(&Stmt, &StmtPath)>(prog: &Program, mut f: F) {
+pub fn for_each_stmt<'a, F: FnMut(&'a Stmt, &StmtPath)>(prog: &'a Program, mut f: F) {
     for (fi, func) in prog.funcs.iter().enumerate() {
         let base = StmtPath {
             func: fi,
@@ -51,7 +51,26 @@ pub fn for_each_stmt<F: FnMut(&Stmt, &StmtPath)>(prog: &Program, mut f: F) {
     }
 }
 
-fn walk_block<F: FnMut(&Stmt, &StmtPath)>(b: &Block, base: &StmtPath, f: &mut F) {
+/// Visits every statement of the program in the same pre-order as
+/// [`for_each_stmt`], without building paths.
+pub fn walk_stmts<'a, F: FnMut(&'a Stmt)>(prog: &'a Program, mut f: F) {
+    for func in &prog.funcs {
+        walk_block_stmts(&func.body, &mut f);
+    }
+}
+
+fn walk_block_stmts<'a, F: FnMut(&'a Stmt)>(b: &'a Block, f: &mut F) {
+    for s in &b.stmts {
+        f(s);
+        for br in 0..child_branches(s) {
+            if let Some(cb) = child_block(s, br) {
+                walk_block_stmts(cb, f);
+            }
+        }
+    }
+}
+
+fn walk_block<'a, F: FnMut(&'a Stmt, &StmtPath)>(b: &'a Block, base: &StmtPath, f: &mut F) {
     for (i, s) in b.stmts.iter().enumerate() {
         // The branch recorded at this step is filled in when descending.
         let here = base.child(i, 0);
@@ -148,7 +167,7 @@ pub fn remove_stmt(prog: &mut Program, path: &StmtPath) -> Option<Stmt> {
 
 /// Visits every expression in a statement (not descending into child
 /// statements/blocks).
-pub fn for_each_expr_in_stmt<F: FnMut(&Expr)>(stmt: &Stmt, mut f: F) {
+pub fn for_each_expr_in_stmt<'a, F: FnMut(&'a Expr)>(stmt: &'a Stmt, mut f: F) {
     match stmt {
         Stmt::Let { init, .. } => walk_expr(init, &mut f),
         Stmt::Assign { place, value } => {
@@ -176,7 +195,7 @@ pub fn for_each_expr_in_stmt<F: FnMut(&Expr)>(stmt: &Stmt, mut f: F) {
 }
 
 /// Recursively visits an expression and its subexpressions in pre-order.
-pub fn walk_expr<F: FnMut(&Expr)>(e: &Expr, f: &mut F) {
+pub fn walk_expr<'a, F: FnMut(&'a Expr)>(e: &'a Expr, f: &mut F) {
     f(e);
     match e {
         Expr::Unary(_, a)
@@ -205,6 +224,104 @@ pub fn walk_expr<F: FnMut(&Expr)>(e: &Expr, f: &mut F) {
         }
         Expr::Lit(_) | Expr::Var(_) | Expr::StaticRef(_) => {}
     }
+}
+
+/// Read-only mirror of [`map_expr`]: visits an expression and all
+/// subexpressions bottom-up, in exactly the order `map_expr` rewrites them.
+pub fn walk_expr_post<'a, F: FnMut(&'a Expr)>(e: &'a Expr, f: &mut F) {
+    match e {
+        Expr::Unary(_, a)
+        | Expr::Cast(a, _)
+        | Expr::AddrOf(_, a)
+        | Expr::RawAddrOf(_, a)
+        | Expr::Deref(a)
+        | Expr::Field(a, _)
+        | Expr::ArrayRepeat(a, _)
+        | Expr::UnionLit(_, _, a)
+        | Expr::UnionField(a, _) => walk_expr_post(a, f),
+        Expr::Binary(_, a, b) | Expr::Index(a, b) => {
+            walk_expr_post(a, f);
+            walk_expr_post(b, f);
+        }
+        Expr::Tuple(xs) | Expr::ArrayLit(xs) | Expr::Call(_, xs) | Expr::Builtin(_, _, xs) => {
+            for x in xs {
+                walk_expr_post(x, f);
+            }
+        }
+        Expr::CallPtr(c, xs) => {
+            walk_expr_post(c, f);
+            for x in xs {
+                walk_expr_post(x, f);
+            }
+        }
+        Expr::Lit(_) | Expr::Var(_) | Expr::StaticRef(_) => {}
+    }
+    f(e);
+}
+
+/// Read-only mirror of [`map_exprs_in_stmt`]: visits every expression of a
+/// statement (recursing into nested blocks) in the order it rewrites them,
+/// so a matcher sees the same first/last match as the edit that follows.
+pub fn walk_exprs_in_stmt<'a, F: FnMut(&'a Expr)>(stmt: &'a Stmt, f: &mut F) {
+    match stmt {
+        Stmt::Let { init, .. } => walk_expr_post(init, f),
+        Stmt::Assign { place, value } => {
+            walk_expr_post(place, f);
+            walk_expr_post(value, f);
+        }
+        Stmt::Expr(e) | Stmt::Print(e) => walk_expr_post(e, f),
+        Stmt::Unsafe(b) | Stmt::Scope(b) | Stmt::Spawn(b) | Stmt::Lock(_, b) => {
+            for s in &b.stmts {
+                walk_exprs_in_stmt(s, f);
+            }
+        }
+        Stmt::If {
+            cond,
+            then_blk,
+            else_blk,
+        } => {
+            walk_expr_post(cond, f);
+            for s in &then_blk.stmts {
+                walk_exprs_in_stmt(s, f);
+            }
+            if let Some(e) = else_blk {
+                for s in &e.stmts {
+                    walk_exprs_in_stmt(s, f);
+                }
+            }
+        }
+        Stmt::While { cond, body } => {
+            walk_expr_post(cond, f);
+            for s in &body.stmts {
+                walk_exprs_in_stmt(s, f);
+            }
+        }
+        Stmt::Assert { cond, .. } => walk_expr_post(cond, f),
+        Stmt::Return(Some(e)) => walk_expr_post(e, f),
+        Stmt::TailCall(_, args) => {
+            for a in args {
+                walk_expr_post(a, f);
+            }
+        }
+        Stmt::Return(None) | Stmt::JoinAll | Stmt::Nop => {}
+    }
+}
+
+/// Read-only mirror of [`map_exprs`]: visits every expression in the whole
+/// program in the order `map_exprs` rewrites them.
+pub fn walk_exprs<'a, F: FnMut(&'a Expr)>(prog: &'a Program, f: &mut F) {
+    for func in &prog.funcs {
+        for s in &func.body.stmts {
+            walk_exprs_in_stmt(s, f);
+        }
+    }
+}
+
+/// Does any expression in the program satisfy `pred`?
+pub fn any_expr<F: FnMut(&Expr) -> bool>(prog: &Program, mut pred: F) -> bool {
+    let mut found = false;
+    walk_exprs(prog, &mut |e| found = found || pred(e));
+    found
 }
 
 /// Applies `f` to every expression of a statement (recursing into nested
@@ -382,6 +499,28 @@ mod tests {
         assert!(get_stmt(&p, &bad).is_none());
         assert!(!replace_stmt(&mut p, &bad, Stmt::Nop));
         assert!(remove_stmt(&mut p, &bad).is_none());
+    }
+
+    #[test]
+    fn read_only_walks_mirror_the_mutable_ones() {
+        let p = parse_program(
+            "fn main() { let x: i32 = (1 + 2) * 3; if x > 0 { print(-x); } \
+             else { while x < 9 { x = x + 1; } } assert(x != 4, \"m\"); }",
+        )
+        .unwrap();
+        let mut walked = Vec::new();
+        walk_exprs(&p, &mut |e| walked.push(e.clone()));
+        let mut mapped = Vec::new();
+        map_exprs(&mut p.clone(), &mut |e| mapped.push(e.clone()));
+        assert_eq!(walked, mapped);
+
+        let mut stmts = Vec::new();
+        walk_stmts(&p, |s| stmts.push(s.clone()));
+        let mut with_paths = Vec::new();
+        for_each_stmt(&p, |s, _| with_paths.push(s.clone()));
+        assert_eq!(stmts, with_paths);
+        assert!(any_expr(&p, |e| matches!(e, Expr::Unary(..))));
+        assert!(!any_expr(&p, |e| matches!(e, Expr::Deref(_))));
     }
 
     #[test]

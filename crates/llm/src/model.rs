@@ -144,7 +144,10 @@ impl LanguageModel for SimulatedModel {
     }
 
     fn propose(&mut self, ctx: &RepairContext<'_>) -> ModelResponse {
-        let prompt = ctx.render();
+        // The program is printed once: it is both the prompt's code block
+        // and the key of the model's stable per-problem draws.
+        let src = rb_lang::printer::print_program(ctx.program);
+        let prompt = ctx.render_with_source(&src);
         let tokens = count_tokens(&prompt);
         let latency = sample_latency_ms(
             &mut self.rng,
@@ -165,7 +168,6 @@ impl LanguageModel for SimulatedModel {
 
         let class = ctx.error.class();
         let class_skill = self.profile.class_skill(class);
-        let src = rb_lang::printer::print_program(ctx.program);
         let best_shot = ctx
             .shots
             .iter()
@@ -237,7 +239,7 @@ impl LanguageModel for SimulatedModel {
                 } else {
                     RepairRule::DisableStatement
                 };
-                proposals = if lazy.apply(ctx.program, ctx.error).is_some() {
+                proposals = if lazy.locate(ctx.program, ctx.error).is_some() {
                     vec![Proposal {
                         rule: lazy,
                         score: 1.0,
@@ -259,7 +261,7 @@ impl LanguageModel for SimulatedModel {
         if self.rng.gen::<f64>() < h {
             let pick =
                 RepairRule::HALLUCINATIONS[self.rng.gen_range(0..RepairRule::HALLUCINATIONS.len())];
-            if pick.apply(ctx.program, ctx.error).is_some() {
+            if pick.locate(ctx.program, ctx.error).is_some() {
                 let top = proposals
                     .iter()
                     .map(|p| p.score)

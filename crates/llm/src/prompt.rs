@@ -89,6 +89,13 @@ impl<'p> RepairContext<'p> {
     /// for token accounting and latency modelling.
     #[must_use]
     pub fn render(&self) -> String {
+        self.render_with_source(&print_program(self.program))
+    }
+
+    /// [`RepairContext::render`] with the program already printed: `source`
+    /// must be `print_program(self.program)`.
+    #[must_use]
+    pub fn render_with_source(&self, source: &str) -> String {
         let mut out = String::new();
         out.push_str("You are repairing undefined behaviour in Rust code.\n");
         out.push_str("Root cause: ");
@@ -104,7 +111,7 @@ impl<'p> RepairContext<'p> {
             ));
         }
         out.push_str("```rust\n");
-        out.push_str(&print_program(self.program));
+        out.push_str(source);
         out.push_str("```\n");
         out
     }

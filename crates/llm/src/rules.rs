@@ -6,18 +6,25 @@
 //! plus a fourth group of *hallucination* edits modelling plausible-looking
 //! but wrong patches that weak models emit.
 //!
-//! A rule inspects the program and the primary oracle diagnostic and, when
-//! its pattern matches, produces a transformed program. Whether the result
-//! actually passes the oracle (and preserves semantics) is decided later by
-//! re-running the oracle — rules are proposals, not guarantees, exactly as
-//! LLM patches are.
+//! Every rule has two halves. Its matcher (`RepairRule::locate`) walks the
+//! borrowed program and the primary oracle diagnostic and, when its pattern
+//! matches, returns a `Site`: where to edit and with what. Its edit
+//! (`edit`) performs that site on a clone and cannot fail. So
+//! [`RepairRule::candidates`] runs only the matchers and never clones, and
+//! [`RepairRule::apply`] is one match, one clone and one edit.
+//!
+//! Whether the result actually passes the oracle (and preserves semantics)
+//! is decided later by re-running the oracle — rules are proposals, not
+//! guarantees, exactly as LLM patches are.
 
 use rb_lang::ast::{
-    BinOp, Block, BuiltinKind, Expr, IntTy, Lit, Mutability, Program, Stmt, StmtPath, Ty,
+    BinOp, Block, BuiltinKind, Expr, Function, IntTy, Lit, Mutability, Program, StaticDef, Stmt,
+    StmtPath, Ty, UnionDef,
 };
 use rb_lang::visit::{
-    containing_block_mut, for_each_expr_in_stmt, for_each_stmt, get_stmt, map_expr,
-    map_exprs_in_stmt, walk_expr,
+    any_expr, child_block, child_branches, for_each_expr_in_stmt, for_each_stmt, get_stmt,
+    get_stmt_mut, insert_after, insert_before, map_expr, map_exprs, map_exprs_in_stmt, remove_stmt,
+    replace_stmt, walk_expr, walk_expr_post, walk_exprs_in_stmt, walk_stmts,
 };
 use rb_miri::{MiriError, UbKind};
 use serde::{Deserialize, Serialize};
@@ -300,57 +307,179 @@ impl RepairRule {
     /// the rule's pattern matches. `err` is the diagnostic being repaired.
     #[must_use]
     pub fn apply(self, prog: &Program, err: &MiriError) -> Option<Program> {
+        let site = self.locate(prog, err)?;
         let mut out = prog.clone();
-        let ok = match self {
-            RepairRule::UseDirectPointer => use_direct_pointer(&mut out, err).is_some(),
-            RepairRule::BoolFromComparison => bool_from_comparison(&mut out).is_some(),
-            RepairRule::TransmuteBytesToFromLe => bytes_to_from_le(&mut out).is_some(),
-            RepairRule::BorrowLocalInstead => borrow_local_instead(&mut out).is_some(),
-            RepairRule::DirectFnUse => direct_fn_use(&mut out).is_some(),
-            RepairRule::FixFnPtrSignature => fix_fnptr_signature(&mut out).is_some(),
-            RepairRule::UseAtomics => use_atomics(&mut out).is_some(),
-            RepairRule::WidenArithmetic => widen_arithmetic(&mut out, err).is_some(),
-            RepairRule::UseRawMutDirect => use_raw_mut_direct(&mut out).is_some(),
-            RepairRule::GuardDivision => guard_division(&mut out, err).is_some(),
-            RepairRule::GuardIndex => guard_index(&mut out, err).is_some(),
-            RepairRule::WeakenAssert => weaken_assert(&mut out, err).is_some(),
-            RepairRule::AssertNonNull => assert_non_null(&mut out, err).is_some(),
-            RepairRule::LockSpawnBodies => lock_spawn_bodies(&mut out).is_some(),
-            RepairRule::RemoveDoubleFree => remove_double_free(&mut out, err).is_some(),
-            RepairRule::FixDeallocLayout => fix_dealloc_layout(&mut out, err).is_some(),
-            RepairRule::AddDealloc => add_dealloc(&mut out).is_some(),
-            RepairRule::HoistLocalOut => hoist_local_out(&mut out).is_some(),
-            RepairRule::ReorderDeallocAfterUse => reorder_dealloc(&mut out, err).is_some(),
-            RepairRule::AlignOffsetDown => align_offset(&mut out, err, false).is_some(),
-            RepairRule::AlignOffsetUp => align_offset(&mut out, err, true).is_some(),
-            RepairRule::InitializeBeforeRead => initialize_before_read(&mut out, err).is_some(),
-            RepairRule::UnionUseLargestField => union_largest_field(&mut out).is_some(),
-            RepairRule::RetakePointerAfterWrite => retake_pointer(&mut out, err).is_some(),
-            RepairRule::SingleMutBorrow => single_mut_borrow(&mut out).is_some(),
-            RepairRule::MoveReadAfterJoin => move_read_after_join(&mut out).is_some(),
-            RepairRule::ReplaceTailCallWithReturn => tailcall_to_return(&mut out).is_some(),
-            RepairRule::FixLiteralIndex => fix_literal_index(&mut out, err).is_some(),
-            RepairRule::CopyWithoutOverlap => copy_without_overlap(&mut out).is_some(),
-            RepairRule::DeleteStatement => delete_statement(&mut out, err).is_some(),
-            RepairRule::DuplicateStatement => duplicate_statement(&mut out, err).is_some(),
-            RepairRule::PerturbLiteral => perturb_literal(&mut out, err).is_some(),
-            RepairRule::DisableStatement => disable_statement(&mut out, err).is_some(),
-            RepairRule::StripUnsafe => strip_unsafe(&mut out).is_some(),
-            RepairRule::BreakBinding => break_binding(&mut out).is_some(),
-            RepairRule::BreakTypes => break_types(&mut out).is_some(),
-        };
-        ok.then_some(out)
+        edit(&mut out, site);
+        Some(out)
     }
 
-    /// All non-hallucination rules that match the program/diagnostic.
+    /// All non-hallucination rules that match the program/diagnostic, in
+    /// [`RepairRule::ALL`] order. Only the matchers run: nothing is cloned
+    /// or edited.
     #[must_use]
     pub fn candidates(prog: &Program, err: &MiriError) -> Vec<RepairRule> {
         RepairRule::ALL
             .iter()
             .copied()
-            .filter(|r| r.kind() != RuleKind::Hallucination)
-            .filter(|r| r.apply(prog, err).is_some())
+            .filter(|r| r.kind() != RuleKind::Hallucination && r.locate(prog, err).is_some())
             .collect()
+    }
+
+    /// The rule's read-only matcher: finds where, and with what, the rule
+    /// would edit `prog` to repair `err`, or `None` when its pattern does
+    /// not match.
+    pub(crate) fn locate<'p>(self, prog: &'p Program, err: &'p MiriError) -> Option<Site<'p>> {
+        use RepairRule::*;
+        match self {
+            UseDirectPointer => locate_direct_pointer(prog, err),
+            BoolFromComparison => any_expr(prog, is_u8_to_bool).then_some(Site::BoolFromComparison),
+            TransmuteBytesToFromLe => {
+                any_expr(prog, |e| from_le_parts(e).is_some()).then_some(Site::BytesToFromLe)
+            }
+            BorrowLocalInstead => locate_borrow_local(prog),
+            DirectFnUse => locate_direct_fn(prog),
+            FixFnPtrSignature => locate_fnptr_signature(prog),
+            UseAtomics => locate_atomics(prog),
+            WidenArithmetic => stmt_at(prog, err)
+                .filter(|_| {
+                    matches!(
+                        err.kind,
+                        UbKind::UncheckedOverflow
+                            | UbKind::PanicOverflow
+                            | UbKind::PanicAssert
+                            | UbKind::PanicDivZero
+                    )
+                })
+                .map(|(path, _)| Site::Widen(path)),
+            UseRawMutDirect => locate_raw_mut_direct(prog),
+            GuardDivision => locate_guard_division(prog, err),
+            GuardIndex => locate_guard_index(prog, err),
+            WeakenAssert => {
+                let (path, stmt) =
+                    stmt_at(prog, err).filter(|_| err.kind == UbKind::PanicAssert)?;
+                matches!(
+                    stmt,
+                    Stmt::Assert {
+                        cond: Expr::Binary(..),
+                        ..
+                    }
+                )
+                .then_some(Site::WeakenAssert(path))
+            }
+            AssertNonNull => locate_assert_non_null(prog, err),
+            LockSpawnBodies => main_fn(prog)?
+                .body
+                .stmts
+                .iter()
+                .any(needs_lock)
+                .then_some(Site::LockSpawnBodies),
+            RemoveDoubleFree => {
+                let (path, stmt) = stmt_at(prog, err).filter(|_| err.kind == UbKind::DoubleFree)?;
+                stmt_deallocs(stmt).then_some(Site::Remove(path))
+            }
+            FixDeallocLayout => {
+                if err.kind != UbKind::BadDealloc {
+                    return None;
+                }
+                let (_, size, align) = find_alloc(prog)?;
+                let (path, _) = stmt_at(prog, err)?;
+                Some(Site::FixDeallocLayout { path, size, align })
+            }
+            AddDealloc => {
+                let (var, size, align) = find_alloc(prog)?;
+                if any_expr(prog, is_dealloc) {
+                    return None;
+                }
+                main_fn(prog)?;
+                Some(Site::AddDealloc { var, size, align })
+            }
+            HoistLocalOut => main_fn(prog)?
+                .body
+                .stmts
+                .iter()
+                .position(scope_escapes)
+                .map(Site::Splice),
+            ReorderDeallocAfterUse => {
+                if !err.kind.is_ub() {
+                    return None;
+                }
+                let stmts = &main_fn(prog)?.body.stmts;
+                let i = stmts.iter().position(stmt_deallocs)?;
+                // Already last: nothing to move.
+                (i + 1 < stmts.len()).then(|| Site::MoveInMain {
+                    from: i,
+                    to: stmts.len() - 1,
+                })
+            }
+            AlignOffsetDown => locate_align_offset(prog, err, false),
+            AlignOffsetUp => locate_align_offset(prog, err, true),
+            InitializeBeforeRead => locate_initialize_before_read(prog, err),
+            UnionUseLargestField => locate_union_field(prog),
+            RetakePointerAfterWrite => {
+                let (path, stmt) =
+                    stmt_at(prog, err).filter(|_| err.kind == UbKind::StackBorrowViolation)?;
+                let Stmt::Unsafe(body) = stmt else {
+                    return None;
+                };
+                retake_index(body).map(|i| Site::SwapInBlock { path, i })
+            }
+            SingleMutBorrow => locate_single_mut_borrow(prog),
+            MoveReadAfterJoin => locate_read_before_join(prog),
+            ReplaceTailCallWithReturn => locate_tailcall(prog),
+            FixLiteralIndex => {
+                if err.kind != UbKind::PanicIndex {
+                    return None;
+                }
+                let len = last_array_len(prog);
+                let fixable = prog
+                    .funcs
+                    .iter()
+                    .flat_map(|f| &f.body.stmts)
+                    .any(|s| oob_index_let(s, len).is_some());
+                (len > 0 && fixable).then_some(Site::FixLiteralIndex { len })
+            }
+            CopyWithoutOverlap => {
+                any_expr(prog, |e| overlap_fix(e).is_some()).then_some(Site::CopyWithoutOverlap)
+            }
+            DeleteStatement => stmt_at(prog, err).map(|(path, _)| Site::Remove(path)),
+            DuplicateStatement => {
+                stmt_at(prog, err).map(|(path, stmt)| Site::Duplicate { path, stmt })
+            }
+            PerturbLiteral => {
+                let (path, stmt) = stmt_at(prog, err)?;
+                stmt_contains(stmt, |e| matches!(e, Expr::Lit(Lit::Int(..))))
+                    .then_some(Site::PerturbLiteral(path))
+            }
+            DisableStatement => stmt_at(prog, err).map(|(path, stmt)| Site::Disable { path, stmt }),
+            StripUnsafe => {
+                let stmts = &main_fn(prog)?.body.stmts;
+                let i = stmts.iter().position(|s| matches!(s, Stmt::Unsafe(_)))?;
+                let Stmt::Unsafe(body) = &stmts[i] else {
+                    return None;
+                };
+                (!body.stmts.is_empty()).then_some(Site::Splice(i))
+            }
+            BreakBinding => main_fn(prog)?
+                .body
+                .stmts
+                .iter()
+                .position(|s| matches!(s, Stmt::Let { .. }))
+                .map(Site::BreakBinding),
+            BreakTypes => main_fn(prog)?
+                .body
+                .stmts
+                .iter()
+                .position(|s| {
+                    matches!(
+                        s,
+                        Stmt::Let {
+                            ty: Ty::Int(IntTy::I32),
+                            ..
+                        }
+                    )
+                })
+                .map(Site::BreakTypes),
+        }
     }
 }
 
@@ -378,7 +507,7 @@ pub fn apply_semantic_drift(prog: &Program) -> Option<Program> {
     // written values, union initialisers, atomic stores, plain-value lets.
     // Layout arguments (sizes, alignments, offsets) are left alone — models
     // drift on domain values, not on the mechanics they just repaired.
-    rb_lang::visit::map_exprs(&mut out, &mut |e| match e {
+    map_exprs(&mut out, &mut |e| match e {
         Expr::Builtin(BuiltinKind::PtrWrite | BuiltinKind::AtomicStore, _, args) => {
             if let Some(v) = args.get_mut(1) {
                 bump(v);
@@ -409,7 +538,439 @@ pub fn apply_semantic_drift(prog: &Program) -> Option<Program> {
     done.get().then_some(out)
 }
 
+// ---- sites and edits ---------------------------------------------------------
+
+/// Where, and with what, a rule edits: the output of its matcher
+/// ([`RepairRule::locate`]) and the whole input of its edit ([`edit`]).
+///
+/// A site borrows from the program the matcher read. [`RepairRule::apply`]
+/// edits a clone of that same program, so every index and path in the site
+/// is valid for the edit and the edit cannot fail.
+pub(crate) enum Site<'p> {
+    /// Re-point `addr as *const T` casts at the original pointer.
+    UseDirectPointer { addr_var: &'p str, orig: &'p Expr },
+    /// Rewrite every `transmute::<u8, bool>`.
+    BoolFromComparison,
+    /// Rewrite every byte-array-to-int transmute.
+    BytesToFromLe,
+    /// Replace every int-to-reference transmute with `&local`.
+    BorrowLocal { local: &'p str },
+    /// Replace every int-to-fn-pointer transmute with `func`.
+    DirectFnUse { func: &'p str },
+    /// Re-type the transmuted fn-pointer binding `name` and pad its calls.
+    FixFnPtrSignature {
+        name: &'p str,
+        src_ty: &'p Ty,
+        fn_expr: &'p Expr,
+        src_arity: usize,
+    },
+    /// Make spawned bodies access these mutable statics atomically.
+    UseAtomics { statics: &'p [StaticDef] },
+    /// Widen the arithmetic of the statement at the path.
+    Widen(&'p StmtPath),
+    /// Replace `rname as *mut T` with `&raw mut target`.
+    UseRawMutDirect { rname: &'p str, target: &'p Expr },
+    /// Wrap `stmt` in `if lhs <op> rhs { stmt } else { print(0); }`.
+    Guard {
+        path: &'p StmtPath,
+        stmt: &'p Stmt,
+        op: BinOp,
+        lhs: &'p Expr,
+        rhs: i32,
+    },
+    /// Weaken the assertion at the path.
+    WeakenAssert(&'p StmtPath),
+    /// Insert a non-null assertion on `pvar` before the path.
+    AssertNonNull { path: &'p StmtPath, pvar: &'p str },
+    /// Wrap every unlocked spawned body in `lock(1)`.
+    LockSpawnBodies,
+    /// Remove the statement at the path.
+    Remove(&'p StmtPath),
+    /// Copy the `alloc` layout into the statement's `dealloc` calls.
+    FixDeallocLayout {
+        path: &'p StmtPath,
+        size: &'p Expr,
+        align: &'p Expr,
+    },
+    /// Append `dealloc(var, size, align)` to `main`.
+    AddDealloc {
+        var: &'p str,
+        size: &'p Expr,
+        align: &'p Expr,
+    },
+    /// Splice the block statement at this index of `main` into `main`.
+    Splice(usize),
+    /// Move a statement of `main`: remove it at `from`, then insert it at
+    /// `to` (an index into the shortened list).
+    MoveInMain { from: usize, to: usize },
+    /// Snap the statement's `ptr_offset` literals down (0) or up.
+    AlignOffset { path: &'p StmtPath, up: bool },
+    /// Move the `ptr_write`s of `main`'s statement `write` before `read`.
+    InitializeBeforeRead { read: usize, write: usize },
+    /// Re-target union literals at the field that is read.
+    UnionField {
+        field: &'p str,
+        unions: &'p [UnionDef],
+    },
+    /// Swap statements `i` and `i + 1` of the block statement at the path.
+    SwapInBlock { path: &'p StmtPath, i: usize },
+    /// Drop the second `&mut` reborrow and redirect its uses to the first.
+    SingleMutBorrow {
+        keep: &'p str,
+        drop: &'p str,
+        drop_path: StmtPath,
+    },
+    /// Replace `tailcall name(args)` with `return name(args)`.
+    TailCallReturn {
+        path: StmtPath,
+        name: &'p str,
+        args: &'p [Expr],
+    },
+    /// Replace `tailcall name(args)` with `name(args); return param;`
+    /// (`return 0` without a parameter).
+    TailCallThenReturn {
+        path: StmtPath,
+        name: &'p str,
+        args: &'p [Expr],
+        param: Option<&'p str>,
+    },
+    /// Clamp out-of-bounds index literals to `len - 1`.
+    FixLiteralIndex { len: usize },
+    /// Push overlapping `copy_nonoverlapping` destinations past the source.
+    CopyWithoutOverlap,
+    /// Insert a copy of `stmt` after it.
+    Duplicate { path: &'p StmtPath, stmt: &'p Stmt },
+    /// Bump the statement's first integer literal.
+    PerturbLiteral(&'p StmtPath),
+    /// Wrap `stmt` in `if false { .. }`.
+    Disable { path: &'p StmtPath, stmt: &'p Stmt },
+    /// Rename the let at this index of `main`.
+    BreakBinding(usize),
+    /// Re-type the `i32` let at this index of `main` as `bool`.
+    BreakTypes(usize),
+}
+
+/// Performs the edit a matcher located. `prog` must equal the program the
+/// site was located in.
+fn edit(prog: &mut Program, site: Site<'_>) {
+    match site {
+        Site::UseDirectPointer { addr_var, orig } => map_exprs(prog, &mut |e| {
+            if is_raw_cast_of(e, addr_var, false) {
+                if let Expr::Cast(inner, _) = e {
+                    **inner = orig.clone();
+                }
+            }
+        }),
+        Site::BoolFromComparison => map_exprs(prog, &mut |e| {
+            if is_u8_to_bool(e) {
+                if let Expr::Builtin(_, _, args) = e {
+                    *e = Expr::Binary(
+                        BinOp::Ne,
+                        Box::new(args[0].clone()),
+                        Box::new(int_lit(0, IntTy::U8)),
+                    );
+                }
+            }
+        }),
+        Site::BytesToFromLe => map_exprs(prog, &mut |e| {
+            if let Some((narrow, target, arg)) = from_le_parts(e) {
+                let inner = Expr::Builtin(
+                    BuiltinKind::FromLeBytes,
+                    vec![Ty::Int(narrow)],
+                    vec![arg.clone()],
+                );
+                *e = if narrow == target {
+                    inner
+                } else {
+                    Expr::Cast(Box::new(inner), Ty::Int(target))
+                };
+            }
+        }),
+        Site::BorrowLocal { local } => map_exprs(prog, &mut |e| {
+            if usize_to_ref_target(e).is_some() {
+                *e = Expr::AddrOf(Mutability::Not, Box::new(Expr::Var(local.to_owned())));
+            }
+        }),
+        Site::DirectFnUse { func } => map_exprs(prog, &mut |e| {
+            if usize_to_fn_ptr(e).is_some() {
+                *e = Expr::Var(func.to_owned());
+            }
+        }),
+        Site::FixFnPtrSignature {
+            name,
+            src_ty,
+            fn_expr,
+            src_arity,
+        } => {
+            for f in &mut prog.funcs {
+                for s in &mut f.body.stmts {
+                    rebind_fn_ptr(s, name, src_ty, fn_expr);
+                }
+            }
+            map_exprs(prog, &mut |e| {
+                if needs_padding(e, name, src_arity) {
+                    if let Expr::CallPtr(_, args) = e {
+                        args.resize(src_arity, int_lit(1, IntTy::I32));
+                    }
+                }
+            });
+        }
+        Site::UseAtomics { statics } => {
+            if let Some(main) = main_body(prog) {
+                for s in &mut main.stmts {
+                    if let Stmt::Spawn(body) = s {
+                        atomicise_block(body, statics);
+                    }
+                }
+            }
+        }
+        Site::Widen(path) => {
+            rewrite_stmt_at(prog, path, &mut |e| match e {
+                Expr::Builtin(
+                    b @ (BuiltinKind::UncheckedAdd
+                    | BuiltinKind::UncheckedSub
+                    | BuiltinKind::UncheckedMul),
+                    tys,
+                    args,
+                ) if matches!(tys.first(), Some(Ty::Int(IntTy::I32))) => {
+                    let op = match b {
+                        BuiltinKind::UncheckedAdd => BinOp::Add,
+                        BuiltinKind::UncheckedSub => BinOp::Sub,
+                        _ => BinOp::Mul,
+                    };
+                    *e = Expr::Binary(
+                        op,
+                        Box::new(Expr::Cast(Box::new(args[0].clone()), Ty::Int(IntTy::I64))),
+                        Box::new(Expr::Cast(Box::new(args[1].clone()), Ty::Int(IntTy::I64))),
+                    );
+                }
+                Expr::Binary(op @ (BinOp::Add | BinOp::Sub | BinOp::Mul), a, b)
+                    if !matches!(**a, Expr::Cast(..)) =>
+                {
+                    *e = Expr::Binary(
+                        *op,
+                        Box::new(Expr::Cast(a.clone(), Ty::Int(IntTy::I64))),
+                        Box::new(Expr::Cast(b.clone(), Ty::Int(IntTy::I64))),
+                    );
+                }
+                _ => {}
+            });
+        }
+        Site::UseRawMutDirect { rname, target } => map_exprs(prog, &mut |e| {
+            if is_raw_cast_of(e, rname, true) {
+                *e = Expr::RawAddrOf(Mutability::Mut, Box::new(target.clone()));
+            }
+        }),
+        Site::Guard {
+            path,
+            stmt,
+            op,
+            lhs,
+            rhs,
+        } => {
+            let guarded = Stmt::If {
+                cond: Expr::Binary(op, Box::new(lhs.clone()), Box::new(Expr::i32(rhs))),
+                then_blk: Block::new(vec![stmt.clone()]),
+                else_blk: Some(Block::new(vec![Stmt::Print(Expr::i32(0))])),
+            };
+            replace_stmt(prog, path, guarded);
+        }
+        Site::WeakenAssert(path) => {
+            if let Some(Stmt::Assert { cond, msg }) = get_stmt_mut(prog, path) {
+                if let Expr::Binary(_, lhs, _) = cond {
+                    *cond = Expr::Binary(BinOp::Ge, lhs.clone(), Box::new(Expr::i32(0)));
+                    *msg = "value negative".into();
+                }
+            }
+        }
+        Site::AssertNonNull { path, pvar } => {
+            let assert = Stmt::Unsafe(Block::new(vec![Stmt::Assert {
+                cond: Expr::Binary(
+                    BinOp::Ne,
+                    Box::new(Expr::Builtin(
+                        BuiltinKind::PtrAddr,
+                        Vec::new(),
+                        vec![Expr::Var(pvar.to_owned())],
+                    )),
+                    Box::new(Expr::int(0, IntTy::Usize)),
+                ),
+                msg: "null pointer".into(),
+            }]));
+            insert_before(prog, path, assert);
+        }
+        Site::LockSpawnBodies => {
+            if let Some(main) = main_body(prog) {
+                for s in main.stmts.iter_mut().filter(|s| needs_lock(s)) {
+                    if let Stmt::Spawn(body) = s {
+                        let inner = std::mem::take(body);
+                        body.stmts = vec![Stmt::Lock(1, inner)];
+                    }
+                }
+            }
+        }
+        Site::Remove(path) => {
+            remove_stmt(prog, path);
+        }
+        Site::FixDeallocLayout { path, size, align } => {
+            rewrite_stmt_at(prog, path, &mut |e| {
+                if let Expr::Builtin(BuiltinKind::Dealloc, _, args) = e {
+                    args[1] = size.clone();
+                    args[2] = align.clone();
+                }
+            });
+        }
+        Site::AddDealloc { var, size, align } => {
+            if let Some(main) = main_body(prog) {
+                main.stmts
+                    .push(Stmt::Unsafe(Block::new(vec![Stmt::Expr(Expr::Builtin(
+                        BuiltinKind::Dealloc,
+                        Vec::new(),
+                        vec![Expr::Var(var.to_owned()), size.clone(), align.clone()],
+                    ))])));
+            }
+        }
+        Site::Splice(i) => {
+            if let Some(main) = main_body(prog) {
+                if let Stmt::Scope(body) | Stmt::Unsafe(body) = main.stmts.remove(i) {
+                    main.stmts.splice(i..i, body.stmts);
+                }
+            }
+        }
+        Site::MoveInMain { from, to } => {
+            if let Some(main) = main_body(prog) {
+                let stmt = main.stmts.remove(from);
+                main.stmts.insert(to, stmt);
+            }
+        }
+        Site::AlignOffset { path, up } => {
+            rewrite_stmt_at(prog, path, &mut |e| {
+                if let Some((new, t)) = snapped_offset(e, up) {
+                    if let Expr::Builtin(_, _, args) = e {
+                        args[1] = int_lit(new, t);
+                    }
+                }
+            });
+        }
+        Site::InitializeBeforeRead { read, write } => {
+            if let Some(main) = main_body(prog) {
+                // Only the writes move: the rest of an unsafe block (say, a
+                // dealloc) stays where it was.
+                match main.stmts.remove(write) {
+                    Stmt::Unsafe(body) => {
+                        let (writes, rest): (Vec<Stmt>, Vec<Stmt>) =
+                            body.stmts.into_iter().partition(stmt_writes_ptr);
+                        if !rest.is_empty() {
+                            main.stmts.insert(write, Stmt::Unsafe(Block::new(rest)));
+                        }
+                        main.stmts.insert(read, Stmt::Unsafe(Block::new(writes)));
+                    }
+                    other => main.stmts.insert(read, other),
+                }
+            }
+        }
+        Site::UnionField { field, unions } => map_exprs(prog, &mut |e| {
+            if let Some((val, t)) = union_retype(e, field, unions) {
+                if let Expr::UnionLit(_, f, v) = e {
+                    *f = field.to_owned();
+                    **v = Expr::Lit(Lit::Int(val, t));
+                }
+            }
+        }),
+        Site::SwapInBlock { path, i } => {
+            if let Some(Stmt::Unsafe(body)) = get_stmt_mut(prog, path) {
+                body.stmts.swap(i, i + 1);
+            }
+        }
+        Site::SingleMutBorrow {
+            keep,
+            drop,
+            drop_path,
+        } => {
+            remove_stmt(prog, &drop_path);
+            map_exprs(prog, &mut |e| {
+                if matches!(e, Expr::Var(n) if n == drop) {
+                    *e = Expr::Var(keep.to_owned());
+                }
+            });
+        }
+        Site::TailCallReturn { path, name, args } => {
+            let call = Expr::Call(name.to_owned(), args.to_vec());
+            replace_stmt(prog, &path, Stmt::Return(Some(call)));
+        }
+        Site::TailCallThenReturn {
+            path,
+            name,
+            args,
+            param,
+        } => {
+            let call = Expr::Call(name.to_owned(), args.to_vec());
+            let ret = param.map_or(Expr::i32(0), Expr::var);
+            replace_stmt(prog, &path, Stmt::Expr(call));
+            insert_after(prog, &path, Stmt::Return(Some(ret)));
+        }
+        Site::FixLiteralIndex { len } => {
+            for f in &mut prog.funcs {
+                for s in &mut f.body.stmts {
+                    if let Some((name, t)) = oob_index_let(s, len) {
+                        *s = Stmt::Let {
+                            name: name.to_owned(),
+                            ty: Ty::Int(t),
+                            init: int_lit(len as i64 - 1, t),
+                        };
+                    }
+                }
+            }
+        }
+        Site::CopyWithoutOverlap => map_exprs(prog, &mut |e| {
+            if let Some((count, t)) = overlap_fix(e) {
+                if let Expr::Builtin(_, _, args) = e {
+                    if let Expr::Builtin(_, _, off_args) = &mut args[1] {
+                        off_args[1] = int_lit(count, t);
+                    }
+                }
+            }
+        }),
+        Site::Duplicate { path, stmt } => {
+            insert_after(prog, path, stmt.clone());
+        }
+        Site::PerturbLiteral(path) => {
+            let mut done = false;
+            rewrite_stmt_at(prog, path, &mut |e| {
+                if done {
+                    return;
+                }
+                if let Expr::Lit(Lit::Int(v, t)) = e {
+                    *e = Expr::Lit(Lit::Int(t.wrap(*v + 1), *t));
+                    done = true;
+                }
+            });
+        }
+        Site::Disable { path, stmt } => {
+            let disabled = Stmt::If {
+                cond: Expr::Lit(Lit::Bool(false)),
+                then_blk: Block::new(vec![stmt.clone()]),
+                else_blk: None,
+            };
+            replace_stmt(prog, path, disabled);
+        }
+        Site::BreakBinding(i) => {
+            if let Some(Stmt::Let { name, .. }) = main_body(prog).and_then(|m| m.stmts.get_mut(i)) {
+                name.push_str("_renamed");
+            }
+        }
+        Site::BreakTypes(i) => {
+            if let Some(Stmt::Let { ty, .. }) = main_body(prog).and_then(|m| m.stmts.get_mut(i)) {
+                *ty = Ty::Bool;
+            }
+        }
+    }
+}
+
 // ---- shared helpers ---------------------------------------------------------
+
+fn main_fn(prog: &Program) -> Option<&Function> {
+    prog.funcs.iter().find(|f| f.name == "main")
+}
 
 fn main_body(prog: &mut Program) -> Option<&mut Block> {
     prog.funcs
@@ -418,64 +979,37 @@ fn main_body(prog: &mut Program) -> Option<&mut Block> {
         .map(|f| &mut f.body)
 }
 
-fn err_path(err: &MiriError) -> Option<&StmtPath> {
-    err.path.as_ref()
+/// The diagnostic's path and the statement it addresses.
+fn stmt_at<'p>(prog: &'p Program, err: &'p MiriError) -> Option<(&'p StmtPath, &'p Stmt)> {
+    let path = err.path.as_ref()?;
+    get_stmt(prog, path).map(|s| (path, s))
 }
 
 /// Does the statement (recursively) contain an expression matching `pred`?
-fn stmt_contains(s: &Stmt, pred: &mut dyn FnMut(&Expr) -> bool) -> bool {
+fn stmt_contains(s: &Stmt, mut pred: impl FnMut(&Expr) -> bool) -> bool {
     let mut found = false;
-    deep_exprs(s, &mut |e| {
-        walk_expr(e, &mut |x| {
-            if pred(x) {
-                found = true;
-            }
-        });
-    });
+    walk_exprs_in_stmt(s, &mut |e| found = found || pred(e));
     found
 }
 
-/// Visits the top-level expressions of a statement and of all statements in
-/// nested blocks.
-fn deep_exprs(s: &Stmt, f: &mut dyn FnMut(&Expr)) {
-    for_each_expr_in_stmt(s, |e| f(e));
-    match s {
-        Stmt::Unsafe(b) | Stmt::Scope(b) | Stmt::Spawn(b) | Stmt::Lock(_, b) => {
+/// Visits, in pre-order, every expression of a statement and of all
+/// statements in nested blocks.
+fn deep_exprs<'a>(s: &'a Stmt, f: &mut dyn FnMut(&'a Expr)) {
+    for_each_expr_in_stmt(s, &mut *f);
+    for br in 0..child_branches(s) {
+        if let Some(b) = child_block(s, br) {
             for inner in &b.stmts {
                 deep_exprs(inner, f);
             }
         }
-        Stmt::If {
-            then_blk, else_blk, ..
-        } => {
-            for inner in &then_blk.stmts {
-                deep_exprs(inner, f);
-            }
-            if let Some(e) = else_blk {
-                for inner in &e.stmts {
-                    deep_exprs(inner, f);
-                }
-            }
-        }
-        Stmt::While { body, .. } => {
-            for inner in &body.stmts {
-                deep_exprs(inner, f);
-            }
-        }
-        _ => {}
     }
 }
 
 /// Rewrites every expression in the statement at `path` (recursively).
-fn rewrite_stmt_at(prog: &mut Program, path: &StmtPath, f: &mut dyn FnMut(&mut Expr)) -> bool {
-    let Some((block, idx)) = containing_block_mut(prog, path) else {
-        return false;
-    };
-    let Some(stmt) = block.stmts.get_mut(idx) else {
-        return false;
-    };
-    map_exprs_in_stmt(stmt, &mut |e| f(e));
-    true
+fn rewrite_stmt_at(prog: &mut Program, path: &StmtPath, f: &mut dyn FnMut(&mut Expr)) {
+    if let Some(stmt) = get_stmt_mut(prog, path) {
+        map_exprs_in_stmt(stmt, &mut |e| f(e));
+    }
 }
 
 fn int_lit(v: i64, t: IntTy) -> Expr {
@@ -484,256 +1018,212 @@ fn int_lit(v: i64, t: IntTy) -> Expr {
 
 /// Finds, program-wide, the pointer-variable name and layout arguments of
 /// the first `alloc` call assigned to a variable.
-fn find_alloc(prog: &Program) -> Option<(String, Expr, Expr)> {
+fn find_alloc(prog: &Program) -> Option<(&str, &Expr, &Expr)> {
     let mut found = None;
-    for f in &prog.funcs {
-        scan_block_for_alloc(&f.body, &mut found);
-    }
-    found
-}
-
-fn scan_block_for_alloc(b: &Block, found: &mut Option<(String, Expr, Expr)>) {
-    for s in &b.stmts {
+    walk_stmts(prog, |s| {
         if found.is_some() {
             return;
         }
-        match s {
-            Stmt::Let {
-                name,
-                init: Expr::Builtin(BuiltinKind::Alloc, _, args),
-                ..
-            }
-            | Stmt::Assign {
-                place: Expr::Var(name),
-                value: Expr::Builtin(BuiltinKind::Alloc, _, args),
-            } => {
-                *found = Some((name.clone(), args[0].clone(), args[1].clone()));
-            }
-            Stmt::Unsafe(inner)
-            | Stmt::Scope(inner)
-            | Stmt::Spawn(inner)
-            | Stmt::Lock(_, inner) => scan_block_for_alloc(inner, found),
-            Stmt::If {
-                then_blk, else_blk, ..
-            } => {
-                scan_block_for_alloc(then_blk, found);
-                if let Some(e) = else_blk {
-                    scan_block_for_alloc(e, found);
-                }
-            }
-            Stmt::While { body, .. } => scan_block_for_alloc(body, found),
-            _ => {}
+        if let Stmt::Let {
+            name,
+            init: Expr::Builtin(BuiltinKind::Alloc, _, args),
+            ..
         }
-    }
+        | Stmt::Assign {
+            place: Expr::Var(name),
+            value: Expr::Builtin(BuiltinKind::Alloc, _, args),
+        } = s
+        {
+            found = Some((name.as_str(), &args[0], &args[1]));
+        }
+    });
+    found
+}
+
+/// The length of the last `let arr: [T; N]` in the program (0 if none).
+fn last_array_len(prog: &Program) -> usize {
+    let mut len = 0;
+    walk_stmts(prog, |s| {
+        if let Stmt::Let {
+            ty: Ty::Array(_, n),
+            ..
+        } = s
+        {
+            len = *n;
+        }
+    });
+    len
+}
+
+fn is_dealloc(e: &Expr) -> bool {
+    matches!(e, Expr::Builtin(BuiltinKind::Dealloc, ..))
+}
+
+fn stmt_deallocs(s: &Stmt) -> bool {
+    stmt_contains(s, is_dealloc)
+}
+
+fn stmt_writes_ptr(s: &Stmt) -> bool {
+    stmt_contains(s, |e| matches!(e, Expr::Builtin(BuiltinKind::PtrWrite, ..)))
 }
 
 // ---- safe replacement ---------------------------------------------------------
+
+/// A cast of the variable `var` to a raw pointer: any raw-pointer type, or
+/// only `*mut T` when `mutable_only` is set.
+fn is_raw_cast_of(e: &Expr, var: &str, mutable_only: bool) -> bool {
+    match e {
+        Expr::Cast(inner, Ty::RawPtr(_, m)) => {
+            (!mutable_only || *m == Mutability::Mut) && matches!(&**inner, Expr::Var(n) if n == var)
+        }
+        _ => false,
+    }
+}
 
 /// For provenance errors: a pointer variable was built from an integer
 /// (`addr as *const T`, where `addr` came from `p as usize`, `ptr_addr(p)`
 /// or `transmute(r)`). Rewire the laundered pointer's initialiser to borrow
 /// directly from the original pointer/reference.
-fn use_direct_pointer(prog: &mut Program, err: &MiriError) -> Option<()> {
+fn locate_direct_pointer<'p>(prog: &'p Program, err: &MiriError) -> Option<Site<'p>> {
     if !matches!(err.kind, UbKind::NoProvenance) {
         return None;
     }
     // Step 1: find `addr` definitions and their pointer origin.
-    let mut origin: Option<(String, Expr)> = None; // (addr_var, original ptr expr)
-    for_each_stmt(prog, |s, _| {
+    let mut origin: Option<(&str, &Expr)> = None; // (addr_var, original ptr expr)
+    walk_stmts(prog, |s| {
         if origin.is_some() {
             return;
         }
         if let Stmt::Let { name, init, .. } = s {
             match init {
                 Expr::Cast(inner, Ty::Int(IntTy::Usize)) => {
-                    origin = Some((name.clone(), (**inner).clone()));
+                    origin = Some((name.as_str(), &**inner))
                 }
                 Expr::Builtin(BuiltinKind::PtrAddr, _, args) => {
-                    origin = Some((name.clone(), args[0].clone()));
+                    origin = Some((name.as_str(), &args[0]));
                 }
                 Expr::Builtin(BuiltinKind::Transmute, tys, args)
                     if matches!(tys.first(), Some(Ty::Ref(..) | Ty::RawPtr(..)))
                         && matches!(tys.get(1), Some(Ty::Int(IntTy::Usize))) =>
                 {
-                    origin = Some((name.clone(), args[0].clone()));
+                    origin = Some((name.as_str(), &args[0]));
                 }
                 _ => {}
             }
         }
     });
     let (addr_var, orig) = origin?;
-    // Step 2: rewrite `<addr_var> as *const T` into `<orig> as *const T`.
-    let mut changed = false;
-    rb_lang::visit::map_exprs(prog, &mut |e| {
-        if let Expr::Cast(inner, Ty::RawPtr(..)) = e {
-            if matches!(&**inner, Expr::Var(n) if *n == addr_var) {
-                **inner = orig.clone();
-                changed = true;
-            }
-        }
-    });
-    changed.then_some(())
+    // Step 2: some `<addr_var> as *const T` must exist to rewrite.
+    any_expr(prog, |e| is_raw_cast_of(e, addr_var, false))
+        .then_some(Site::UseDirectPointer { addr_var, orig })
 }
 
-/// `transmute::<u8, bool>(x)` → `x != 0u8`.
-fn bool_from_comparison(prog: &mut Program) -> Option<()> {
-    let mut changed = false;
-    rb_lang::visit::map_exprs(prog, &mut |e| {
-        if let Expr::Builtin(BuiltinKind::Transmute, tys, args) = e {
-            if tys.len() == 2 && tys[1] == Ty::Bool && tys[0] == Ty::Int(IntTy::U8) {
-                *e = Expr::Binary(
-                    BinOp::Ne,
-                    Box::new(args[0].clone()),
-                    Box::new(int_lit(0, IntTy::U8)),
-                );
-                changed = true;
-            }
-        }
-    });
-    changed.then_some(())
+/// `transmute::<u8, bool>(x)`, rewritten to `x != 0u8`.
+fn is_u8_to_bool(e: &Expr) -> bool {
+    matches!(e, Expr::Builtin(BuiltinKind::Transmute, tys, _)
+        if tys.len() == 2 && tys[1] == Ty::Bool && tys[0] == Ty::Int(IntTy::U8))
 }
 
-/// `transmute::<[u8; N], Int>(a)` (size-mismatched) →
-/// `from_le_bytes::<uintN>(a) as Int`.
-fn bytes_to_from_le(prog: &mut Program) -> Option<()> {
-    let mut changed = false;
-    rb_lang::visit::map_exprs(prog, &mut |e| {
-        if let Expr::Builtin(BuiltinKind::Transmute, tys, args) = e {
-            let (Some(Ty::Array(elem, n)), Some(Ty::Int(target))) = (tys.first(), tys.get(1))
-            else {
-                return;
-            };
-            if **elem != Ty::Int(IntTy::U8) {
-                return;
-            }
-            let narrow = match n {
-                1 => IntTy::U8,
-                2 => IntTy::U16,
-                4 => IntTy::U32,
-                8 => IntTy::U64,
-                _ => return,
-            };
-            let inner = Expr::Builtin(
-                BuiltinKind::FromLeBytes,
-                vec![Ty::Int(narrow)],
-                vec![args[0].clone()],
-            );
-            *e = if narrow == *target {
-                inner
-            } else {
-                Expr::Cast(Box::new(inner), Ty::Int(*target))
-            };
-            changed = true;
-        }
-    });
-    changed.then_some(())
+/// A size-mismatched `transmute::<[u8; N], Int>(a)`, rewritten to
+/// `from_le_bytes::<uintN>(a) as Int`: returns `(uintN, Int, a)`.
+fn from_le_parts(e: &Expr) -> Option<(IntTy, IntTy, &Expr)> {
+    let Expr::Builtin(BuiltinKind::Transmute, tys, args) = e else {
+        return None;
+    };
+    let (Some(Ty::Array(elem, n)), Some(Ty::Int(target))) = (tys.first(), tys.get(1)) else {
+        return None;
+    };
+    if **elem != Ty::Int(IntTy::U8) {
+        return None;
+    }
+    let narrow = match n {
+        1 => IntTy::U8,
+        2 => IntTy::U16,
+        4 => IntTy::U32,
+        8 => IntTy::U64,
+        _ => return None,
+    };
+    Some((narrow, *target, &args[0]))
+}
+
+/// `transmute::<usize, &T>(k)`: returns `T`.
+fn usize_to_ref_target(e: &Expr) -> Option<&Ty> {
+    let Expr::Builtin(BuiltinKind::Transmute, tys, _) = e else {
+        return None;
+    };
+    match (tys.first(), tys.get(1)) {
+        (Some(Ty::Int(IntTy::Usize)), Some(Ty::Ref(inner, _))) => Some(inner),
+        _ => None,
+    }
 }
 
 /// `transmute::<usize, &T>(k)` → `&local` for some in-scope local of type T.
-fn borrow_local_instead(prog: &mut Program) -> Option<()> {
+fn locate_borrow_local(prog: &Program) -> Option<Site<'_>> {
     // Find a local of the target type declared in main before the transmute.
-    let mut target: Option<(Ty, String)> = None;
-    let main = prog.funcs.iter().find(|f| f.name == "main")?;
-    let mut locals: Vec<(String, Ty)> = Vec::new();
-    fn scan(b: &Block, locals: &mut Vec<(String, Ty)>, target: &mut Option<(Ty, String)>) {
+    fn scan<'p>(b: &'p Block, locals: &mut Vec<(&'p str, &'p Ty)>, target: &mut Option<&'p str>) {
         for s in &b.stmts {
             if let Stmt::Let { name, ty, .. } = s {
-                locals.push((name.clone(), ty.clone()));
+                locals.push((name.as_str(), ty));
             }
-            let mut hit: Option<Ty> = None;
-            for_each_expr_in_stmt(s, |top| {
-                walk_expr(top, &mut |e| {
-                    if let Expr::Builtin(BuiltinKind::Transmute, tys, _) = e {
-                        if let (Some(Ty::Int(IntTy::Usize)), Some(Ty::Ref(inner, _))) =
-                            (tys.first(), tys.get(1))
-                        {
-                            hit = Some((**inner).clone());
-                        }
-                    }
-                });
+            let mut hit = None;
+            for_each_expr_in_stmt(s, |e| {
+                if let Some(want) = usize_to_ref_target(e) {
+                    hit = Some(want);
+                }
             });
             if let Some(want) = hit {
                 if target.is_none() {
-                    if let Some((n, _)) = locals.iter().find(|(_, t)| *t == want) {
-                        *target = Some((want, n.clone()));
-                    }
+                    *target = locals.iter().find(|(_, t)| *t == want).map(|(n, _)| *n);
                 }
             }
-            match s {
-                Stmt::Unsafe(i) | Stmt::Scope(i) | Stmt::Spawn(i) | Stmt::Lock(_, i) => {
-                    scan(i, locals, target);
-                }
-                _ => {}
+            if let Stmt::Unsafe(i) | Stmt::Scope(i) | Stmt::Spawn(i) | Stmt::Lock(_, i) = s {
+                scan(i, locals, target);
             }
         }
     }
-    scan(&main.body, &mut locals, &mut target);
-    let (_, local) = target?;
-    let mut changed = false;
-    rb_lang::visit::map_exprs(prog, &mut |e| {
-        if let Expr::Builtin(BuiltinKind::Transmute, tys, _) = e {
-            if matches!(tys.first(), Some(Ty::Int(IntTy::Usize)))
-                && matches!(tys.get(1), Some(Ty::Ref(..)))
-            {
-                *e = Expr::AddrOf(Mutability::Not, Box::new(Expr::Var(local.clone())));
-                changed = true;
-            }
-        }
-    });
-    changed.then_some(())
+    let mut target = None;
+    scan(&main_fn(prog)?.body, &mut Vec::new(), &mut target);
+    target.map(|local| Site::BorrowLocal { local })
+}
+
+/// `transmute::<usize, fn..>(addr)`: returns the fn-pointer type.
+fn usize_to_fn_ptr(e: &Expr) -> Option<&Ty> {
+    let Expr::Builtin(BuiltinKind::Transmute, tys, _) = e else {
+        return None;
+    };
+    match (tys.first(), tys.get(1)) {
+        (Some(Ty::Int(IntTy::Usize)), Some(fn_ty @ Ty::FnPtr(..))) => Some(fn_ty),
+        _ => None,
+    }
 }
 
 /// `transmute::<usize, fn..>(addr)` → a real function with that signature.
-fn direct_fn_use(prog: &mut Program) -> Option<()> {
-    let mut fn_name: Option<String> = None;
-    let mut want: Option<Ty> = None;
+fn locate_direct_fn(prog: &Program) -> Option<Site<'_>> {
+    // The signature of the last such transmute decides the function.
+    let mut want = None;
     for f in &prog.funcs {
         for s in &f.body.stmts {
-            let mut w = None;
-            deep_exprs(s, &mut |top| {
-                walk_expr(top, &mut |e| {
-                    if let Expr::Builtin(BuiltinKind::Transmute, tys, _) = e {
-                        if matches!(tys.first(), Some(Ty::Int(IntTy::Usize)))
-                            && matches!(tys.get(1), Some(Ty::FnPtr(..)))
-                        {
-                            w = Some(tys[1].clone());
-                        }
-                    }
-                });
+            deep_exprs(s, &mut |e| {
+                if let Some(t) = usize_to_fn_ptr(e) {
+                    want = Some(t);
+                }
             });
-            if w.is_some() {
-                want = w;
-            }
         }
     }
     let want = want?;
-    for f in &prog.funcs {
-        if f.name != "main" && f.fn_ptr_ty() == want {
-            fn_name = Some(f.name.clone());
-            break;
-        }
-    }
-    let fn_name = fn_name?;
-    let mut changed = false;
-    rb_lang::visit::map_exprs(prog, &mut |e| {
-        if let Expr::Builtin(BuiltinKind::Transmute, tys, _) = e {
-            if matches!(tys.first(), Some(Ty::Int(IntTy::Usize)))
-                && matches!(tys.get(1), Some(Ty::FnPtr(..)))
-            {
-                *e = Expr::Var(fn_name.clone());
-                changed = true;
-            }
-        }
-    });
-    changed.then_some(())
+    let func = prog
+        .funcs
+        .iter()
+        .find(|f| f.name != "main" && f.fn_ptr_ty() == *want)?;
+    Some(Site::DirectFnUse { func: &func.name })
 }
 
 /// A fn pointer transmuted between signatures: re-type the binding to the
 /// source signature and pad call sites with `1` literals.
-fn fix_fnptr_signature(prog: &mut Program) -> Option<()> {
+fn locate_fnptr_signature(prog: &Program) -> Option<Site<'_>> {
     // Find `let f: fn(..) = transmute::<fnA, fnB>(g)`.
-    let mut hit: Option<(String, Ty, Expr, usize, usize)> = None;
-    for_each_stmt(prog, |s, _| {
+    let mut hit = None;
+    walk_stmts(prog, |s| {
         if hit.is_some() {
             return;
         }
@@ -743,101 +1233,128 @@ fn fix_fnptr_signature(prog: &mut Program) -> Option<()> {
             ..
         } = s
         {
-            if let (Some(src @ Ty::FnPtr(sp, _)), Some(Ty::FnPtr(dp, _))) =
+            if let (Some(src_ty @ Ty::FnPtr(sp, _)), Some(Ty::FnPtr(..))) =
                 (tys.first(), tys.get(1))
             {
-                hit = Some((
-                    name.clone(),
-                    src.clone(),
-                    args[0].clone(),
-                    sp.len(),
-                    dp.len(),
-                ));
+                hit = Some((name.as_str(), src_ty, &args[0], sp.len()));
             }
         }
     });
-    let (fname, src_ty, fn_expr, src_arity, _dst_arity) = hit?;
-    let mut changed = false;
-    // Rewrite the binding.
-    for f in &mut prog.funcs {
-        for s in &mut f.body.stmts {
-            fix_binding(s, &fname, &src_ty, &fn_expr, &mut changed);
-        }
-    }
-    // Pad call sites.
-    rb_lang::visit::map_exprs(prog, &mut |e| {
-        if let Expr::CallPtr(callee, args) = e {
-            if matches!(&**callee, Expr::Var(n) if *n == fname) && args.len() < src_arity {
-                while args.len() < src_arity {
-                    args.push(int_lit(1, IntTy::I32));
-                }
-                changed = true;
-            }
-        }
-    });
-    changed.then_some(())
+    let (name, src_ty, fn_expr, src_arity) = hit?;
+    // The edit changes something when the binding is reachable (loop
+    // bodies are not searched) or some call needs padding.
+    let rebinds = prog
+        .funcs
+        .iter()
+        .flat_map(|f| &f.body.stmts)
+        .any(|s| has_fn_ptr_binding(s, name));
+    (rebinds || any_expr(prog, |e| needs_padding(e, name, src_arity))).then_some(
+        Site::FixFnPtrSignature {
+            name,
+            src_ty,
+            fn_expr,
+            src_arity,
+        },
+    )
 }
 
-fn fix_binding(s: &mut Stmt, fname: &str, src_ty: &Ty, fn_expr: &Expr, changed: &mut bool) {
-    match s {
-        Stmt::Let { name, ty, init } if name == fname => {
-            if matches!(init, Expr::Builtin(BuiltinKind::Transmute, ..)) {
-                *ty = src_ty.clone();
-                *init = fn_expr.clone();
-                *changed = true;
-            }
-        }
-        Stmt::Unsafe(b) | Stmt::Scope(b) | Stmt::Spawn(b) | Stmt::Lock(_, b) => {
-            for inner in &mut b.stmts {
-                fix_binding(inner, fname, src_ty, fn_expr, changed);
-            }
-        }
+/// The transmuted binding `let <fname> = transmute(..)` that
+/// [`rebind_fn_ptr`] rewrites.
+fn is_fn_ptr_binding(s: &Stmt, fname: &str) -> bool {
+    matches!(s, Stmt::Let { name, init: Expr::Builtin(BuiltinKind::Transmute, ..), .. } if name == fname)
+}
+
+/// The blocks [`rebind_fn_ptr`] descends into (not loop bodies).
+fn rebind_blocks(s: &Stmt) -> impl Iterator<Item = &Block> {
+    let (a, b) = match s {
+        Stmt::Unsafe(b) | Stmt::Scope(b) | Stmt::Spawn(b) | Stmt::Lock(_, b) => (Some(b), None),
         Stmt::If {
             then_blk, else_blk, ..
-        } => {
-            for inner in &mut then_blk.stmts {
-                fix_binding(inner, fname, src_ty, fn_expr, changed);
-            }
-            if let Some(e) = else_blk {
-                for inner in &mut e.stmts {
-                    fix_binding(inner, fname, src_ty, fn_expr, changed);
-                }
-            }
+        } => (Some(then_blk), else_blk.as_ref()),
+        _ => (None, None),
+    };
+    a.into_iter().chain(b)
+}
+
+fn has_fn_ptr_binding(s: &Stmt, fname: &str) -> bool {
+    is_fn_ptr_binding(s, fname)
+        || rebind_blocks(s).any(|b| b.stmts.iter().any(|inner| has_fn_ptr_binding(inner, fname)))
+}
+
+fn rebind_fn_ptr(s: &mut Stmt, fname: &str, src_ty: &Ty, fn_expr: &Expr) {
+    if is_fn_ptr_binding(s, fname) {
+        if let Stmt::Let { ty, init, .. } = s {
+            *ty = src_ty.clone();
+            *init = fn_expr.clone();
         }
-        _ => {}
+        return;
     }
+    let (a, b) = match s {
+        Stmt::Unsafe(b) | Stmt::Scope(b) | Stmt::Spawn(b) | Stmt::Lock(_, b) => (Some(b), None),
+        Stmt::If {
+            then_blk, else_blk, ..
+        } => (Some(then_blk), else_blk.as_mut()),
+        _ => (None, None),
+    };
+    for block in a.into_iter().chain(b) {
+        for inner in &mut block.stmts {
+            rebind_fn_ptr(inner, fname, src_ty, fn_expr);
+        }
+    }
+}
+
+/// A call through `fname` with fewer arguments than the source signature.
+fn needs_padding(e: &Expr, fname: &str, arity: usize) -> bool {
+    matches!(e, Expr::CallPtr(callee, args)
+        if matches!(&**callee, Expr::Var(n) if n == fname) && args.len() < arity)
+}
+
+fn is_mut_static(statics: &[StaticDef], name: &str) -> bool {
+    statics.iter().any(|s| s.mutable && s.name == name)
 }
 
 /// Inside every `spawn` block, turn plain mutable-static accesses into
 /// atomic operations.
-fn use_atomics(prog: &mut Program) -> Option<()> {
-    let statics: Vec<String> = prog
-        .statics
-        .iter()
-        .filter(|s| s.mutable)
-        .map(|s| s.name.clone())
-        .collect();
-    if statics.is_empty() {
+fn locate_atomics(prog: &Program) -> Option<Site<'_>> {
+    if !prog.statics.iter().any(|s| s.mutable) {
         return None;
     }
-    let mut changed = false;
-    let main = main_body(prog)?;
-    for s in &mut main.stmts {
-        if let Stmt::Spawn(body) = s {
-            atomicise_block(body, &statics, &mut changed);
-        }
-    }
-    changed.then_some(())
+    let statics = &prog.statics;
+    main_fn(prog)?
+        .body
+        .stmts
+        .iter()
+        .any(|s| matches!(s, Stmt::Spawn(body) if touches_statics(body, statics)))
+        .then_some(Site::UseAtomics { statics })
 }
 
-fn atomicise_block(b: &mut Block, statics: &[String], changed: &mut bool) {
+/// Whether [`atomicise_block`] would change anything in `b`.
+fn touches_statics(b: &Block, statics: &[StaticDef]) -> bool {
+    b.stmts.iter().any(|s| match s {
+        Stmt::Assign {
+            place: Expr::StaticRef(g),
+            ..
+        } => is_mut_static(statics, g),
+        Stmt::Unsafe(inner) => touches_statics(inner, statics),
+        Stmt::Print(e) => {
+            let mut hit = false;
+            walk_expr(e, &mut |x| {
+                hit = hit || matches!(x, Expr::StaticRef(n) if is_mut_static(statics, n));
+            });
+            hit
+        }
+        _ => false,
+    })
+}
+
+fn atomicise_block(b: &mut Block, statics: &[StaticDef]) {
     let mut new_stmts = Vec::with_capacity(b.stmts.len());
     for mut s in std::mem::take(&mut b.stmts) {
         match s {
             Stmt::Assign {
                 place: Expr::StaticRef(g),
                 mut value,
-            } if statics.contains(&g) => {
+            } if is_mut_static(statics, &g) => {
                 map_expr(&mut value, &mut |e| {
                     if matches!(e, Expr::StaticRef(n) if *n == g) {
                         *e = Expr::Builtin(
@@ -852,10 +1369,9 @@ fn atomicise_block(b: &mut Block, statics: &[String], changed: &mut bool) {
                     Vec::new(),
                     vec![Expr::StaticRef(g.clone()), value],
                 )));
-                *changed = true;
             }
             Stmt::Unsafe(ref mut inner) => {
-                atomicise_block(inner, statics, changed);
+                atomicise_block(inner, statics);
                 // If the unsafe block now contains only safe atomic ops,
                 // keep it anyway (harmless).
                 new_stmts.push(s);
@@ -863,13 +1379,12 @@ fn atomicise_block(b: &mut Block, statics: &[String], changed: &mut bool) {
             Stmt::Print(mut e) => {
                 map_expr(&mut e, &mut |x| {
                     if let Expr::StaticRef(n) = x {
-                        if statics.contains(n) {
+                        if is_mut_static(statics, n) {
                             *x = Expr::Builtin(
                                 BuiltinKind::AtomicLoad,
                                 Vec::new(),
                                 vec![Expr::StaticRef(n.clone())],
                             );
-                            *changed = true;
                         }
                     }
                 });
@@ -881,55 +1396,11 @@ fn atomicise_block(b: &mut Block, statics: &[String], changed: &mut bool) {
     b.stmts = new_stmts;
 }
 
-/// Replace overflowing i32 arithmetic (checked or `unchecked_*`) with
-/// widened i64 arithmetic.
-fn widen_arithmetic(prog: &mut Program, err: &MiriError) -> Option<()> {
-    if !matches!(
-        err.kind,
-        UbKind::UncheckedOverflow
-            | UbKind::PanicOverflow
-            | UbKind::PanicAssert
-            | UbKind::PanicDivZero
-    ) {
-        return None;
-    }
-    let path = err_path(err)?.clone();
-    let applied = rewrite_stmt_at(prog, &path, &mut |e| match e {
-        Expr::Builtin(
-            b @ (BuiltinKind::UncheckedAdd | BuiltinKind::UncheckedSub | BuiltinKind::UncheckedMul),
-            tys,
-            args,
-        ) if matches!(tys.first(), Some(Ty::Int(IntTy::I32))) => {
-            let op = match b {
-                BuiltinKind::UncheckedAdd => BinOp::Add,
-                BuiltinKind::UncheckedSub => BinOp::Sub,
-                _ => BinOp::Mul,
-            };
-            *e = Expr::Binary(
-                op,
-                Box::new(Expr::Cast(Box::new(args[0].clone()), Ty::Int(IntTy::I64))),
-                Box::new(Expr::Cast(Box::new(args[1].clone()), Ty::Int(IntTy::I64))),
-            );
-        }
-        Expr::Binary(op @ (BinOp::Add | BinOp::Sub | BinOp::Mul), a, b)
-            if !matches!(**a, Expr::Cast(..)) =>
-        {
-            *e = Expr::Binary(
-                *op,
-                Box::new(Expr::Cast(a.clone(), Ty::Int(IntTy::I64))),
-                Box::new(Expr::Cast(b.clone(), Ty::Int(IntTy::I64))),
-            );
-        }
-        _ => {}
-    });
-    applied.then_some(())
-}
-
 /// `let r: &T = &x; let p = r as *mut T;` → `let p: *mut T = &raw mut x;`
-fn use_raw_mut_direct(prog: &mut Program) -> Option<()> {
+fn locate_raw_mut_direct(prog: &Program) -> Option<Site<'_>> {
     // Find the shared-ref binding.
-    let mut ref_bind: Option<(String, Expr)> = None;
-    for_each_stmt(prog, |s, _| {
+    let mut ref_bind = None;
+    walk_stmts(prog, |s| {
         if ref_bind.is_some() {
             return;
         }
@@ -939,290 +1410,113 @@ fn use_raw_mut_direct(prog: &mut Program) -> Option<()> {
             init: Expr::AddrOf(Mutability::Not, target),
         } = s
         {
-            ref_bind = Some((name.clone(), (**target).clone()));
+            ref_bind = Some((name.as_str(), &**target));
         }
     });
     let (rname, target) = ref_bind?;
-    let mut changed = false;
-    rb_lang::visit::map_exprs(prog, &mut |e| {
-        if let Expr::Cast(inner, Ty::RawPtr(_, Mutability::Mut)) = e {
-            if matches!(&**inner, Expr::Var(n) if *n == rname) {
-                **inner = Expr::RawAddrOf(Mutability::Mut, Box::new(target.clone()));
-                // Simplify `&raw mut x as *mut T` to just the raw addr-of.
-                let Expr::Cast(inner2, _) = e else { return };
-                *e = (**inner2).clone();
-                changed = true;
-            }
-        }
-    });
-    changed.then_some(())
+    any_expr(prog, |e| is_raw_cast_of(e, rname, true))
+        .then_some(Site::UseRawMutDirect { rname, target })
 }
 
 // ---- assertion / guarding -----------------------------------------------------
 
 /// Wrap `print(a / b)` in `if b != 0 { .. } else { print(0); }`.
-fn guard_division(prog: &mut Program, err: &MiriError) -> Option<()> {
-    if err.kind != UbKind::PanicDivZero {
-        return None;
-    }
-    let path = err_path(err)?.clone();
-    let stmt = get_stmt(prog, &path).cloned()?;
-    let mut divisor: Option<Expr> = None;
-    let mut scan = stmt.clone();
-    map_exprs_in_stmt(&mut scan, &mut |e| {
+fn locate_guard_division<'p>(prog: &'p Program, err: &'p MiriError) -> Option<Site<'p>> {
+    let (path, stmt) = stmt_at(prog, err).filter(|_| err.kind == UbKind::PanicDivZero)?;
+    let mut divisor = None;
+    walk_exprs_in_stmt(stmt, &mut |e| {
         if let Expr::Binary(BinOp::Div | BinOp::Rem, _, b) = e {
-            divisor = Some((**b).clone());
+            divisor = Some(&**b);
         }
     });
-    let divisor = divisor?;
-    let guarded = Stmt::If {
-        cond: Expr::Binary(BinOp::Ne, Box::new(divisor), Box::new(Expr::i32(0))),
-        then_blk: Block::new(vec![stmt]),
-        else_blk: Some(Block::new(vec![Stmt::Print(Expr::i32(0))])),
-    };
-    rb_lang::visit::replace_stmt(prog, &path, guarded).then_some(())
+    Some(Site::Guard {
+        path,
+        stmt,
+        op: BinOp::Ne,
+        lhs: divisor?,
+        rhs: 0,
+    })
 }
 
 /// Wrap an indexing statement in a bounds guard (passes Miri, but skips the
 /// operation — often semantically unacceptable, which is the point).
-fn guard_index(prog: &mut Program, err: &MiriError) -> Option<()> {
-    if err.kind != UbKind::PanicIndex {
-        return None;
-    }
-    let path = err_path(err)?.clone();
-    let stmt = get_stmt(prog, &path).cloned()?;
-    let mut index_info: Option<(Expr, usize)> = None;
-    let mut scan = stmt.clone();
-    map_exprs_in_stmt(&mut scan, &mut |e| {
-        if let Expr::Index(base, idx) = e {
-            // Try to learn the array length from the base's declared type.
-            let n = match &**base {
-                Expr::Var(_) => None,
-                _ => None,
-            };
-            index_info = Some(((**idx).clone(), n.unwrap_or(0)));
+fn locate_guard_index<'p>(prog: &'p Program, err: &'p MiriError) -> Option<Site<'p>> {
+    let (path, stmt) = stmt_at(prog, err).filter(|_| err.kind == UbKind::PanicIndex)?;
+    let mut index = None;
+    walk_exprs_in_stmt(stmt, &mut |e| {
+        if let Expr::Index(_, idx) = e {
+            index = Some(&**idx);
         }
     });
-    let (idx, _) = index_info?;
-    // Find the array length from a `let arr: [T; N]` in the same function.
-    let mut len: usize = 0;
-    for_each_stmt(prog, |s, _| {
-        if let Stmt::Let {
-            ty: Ty::Array(_, n),
-            ..
-        } = s
-        {
-            len = *n;
-        }
-    });
-    if len == 0 {
-        return None;
-    }
-    let guarded = Stmt::If {
-        cond: Expr::Binary(BinOp::Lt, Box::new(idx), Box::new(Expr::i32(len as i32))),
-        then_blk: Block::new(vec![stmt]),
-        else_blk: Some(Block::new(vec![Stmt::Print(Expr::i32(0))])),
-    };
-    rb_lang::visit::replace_stmt(prog, &path, guarded).then_some(())
-}
-
-/// Replace a failing assertion's condition with `lhs >= 0`.
-fn weaken_assert(prog: &mut Program, err: &MiriError) -> Option<()> {
-    if err.kind != UbKind::PanicAssert {
-        return None;
-    }
-    let path = err_path(err)?.clone();
-    let stmt = rb_lang::visit::get_stmt_mut(prog, &path)?;
-    if let Stmt::Assert { cond, msg } = stmt {
-        if let Expr::Binary(_, lhs, _) = cond {
-            *cond = Expr::Binary(BinOp::Ge, lhs.clone(), Box::new(Expr::i32(0)));
-            *msg = "value negative".into();
-            return Some(());
-        }
-    }
-    None
+    let index = index?;
+    // The array length comes from a `let arr: [T; N]`.
+    let len = last_array_len(prog);
+    (len != 0).then_some(Site::Guard {
+        path,
+        stmt,
+        op: BinOp::Lt,
+        lhs: index,
+        rhs: len as i32,
+    })
 }
 
 /// Insert `assert(ptr_addr(p) != 0, ..)` before the faulting statement — a
 /// plausible assertion that rarely fixes real UB (kept because real LLMs
 /// propose it constantly).
-fn assert_non_null(prog: &mut Program, err: &MiriError) -> Option<()> {
-    let path = err_path(err)?.clone();
-    let stmt = get_stmt(prog, &path)?;
-    // Find a pointer variable used in the statement.
-    let mut pvar: Option<String> = None;
-    deep_exprs(stmt, &mut |top| {
-        walk_expr(top, &mut |e| {
-            if pvar.is_none() {
-                if let Expr::Builtin(BuiltinKind::PtrRead | BuiltinKind::PtrWrite, _, args) = e {
-                    let mut inner = args[0].clone();
-                    map_expr(&mut inner, &mut |x| {
-                        if let Expr::Var(n) = x {
-                            pvar = Some(n.clone());
-                        }
-                    });
-                }
+fn locate_assert_non_null<'p>(prog: &'p Program, err: &'p MiriError) -> Option<Site<'p>> {
+    let (path, stmt) = stmt_at(prog, err)?;
+    // The last variable in the pointer operand of the first pointer read or
+    // write (that has one) in the statement.
+    let mut pvar = None;
+    deep_exprs(stmt, &mut |e| {
+        if pvar.is_none() {
+            if let Expr::Builtin(BuiltinKind::PtrRead | BuiltinKind::PtrWrite, _, args) = e {
+                walk_expr_post(&args[0], &mut |x| {
+                    if let Expr::Var(n) = x {
+                        pvar = Some(n.as_str());
+                    }
+                });
             }
-        });
+        }
     });
-    let pvar = pvar?;
-    let assert = Stmt::Unsafe(Block::new(vec![Stmt::Assert {
-        cond: Expr::Binary(
-            BinOp::Ne,
-            Box::new(Expr::Builtin(
-                BuiltinKind::PtrAddr,
-                Vec::new(),
-                vec![Expr::Var(pvar)],
-            )),
-            Box::new(Expr::int(0, IntTy::Usize)),
-        ),
-        msg: "null pointer".into(),
-    }]));
-    rb_lang::visit::insert_before(prog, &path, assert).then_some(())
+    Some(Site::AssertNonNull { path, pvar: pvar? })
 }
 
-/// Wrap every spawned body in `lock(1) { .. }`.
-fn lock_spawn_bodies(prog: &mut Program) -> Option<()> {
-    let mut changed = false;
-    let main = main_body(prog)?;
-    for s in &mut main.stmts {
-        if let Stmt::Spawn(body) = s {
-            if body.stmts.len() == 1 && matches!(body.stmts[0], Stmt::Lock(..)) {
-                continue; // already locked
-            }
-            let inner = std::mem::take(body);
-            body.stmts = vec![Stmt::Lock(1, inner)];
-            changed = true;
-        }
-    }
-    changed.then_some(())
+/// A spawned body that is not yet wrapped in a lock.
+fn needs_lock(s: &Stmt) -> bool {
+    matches!(s, Stmt::Spawn(body)
+        if !(body.stmts.len() == 1 && matches!(body.stmts[0], Stmt::Lock(..))))
 }
 
 // ---- semantic modification -----------------------------------------------------
 
-fn stmt_deallocs_var(s: &Stmt, var: &mut Option<String>) -> bool {
-    let mut yes = false;
-    deep_exprs(s, &mut |top| {
-        walk_expr(top, &mut |e| {
-            if let Expr::Builtin(BuiltinKind::Dealloc, _, args) = e {
-                yes = true;
-                if let Expr::Var(n) = &args[0] {
-                    *var = Some(n.clone());
-                }
-            }
-        });
-    });
-    yes
+/// A scope that leaks a raw pointer to one of its locals.
+fn scope_escapes(s: &Stmt) -> bool {
+    matches!(s, Stmt::Scope(body) if body
+        .stmts
+        .iter()
+        .any(|inner| stmt_contains(inner, |e| matches!(e, Expr::RawAddrOf(..)))))
 }
 
-/// Remove the duplicate `dealloc` statement the diagnostic points at.
-fn remove_double_free(prog: &mut Program, err: &MiriError) -> Option<()> {
-    if err.kind != UbKind::DoubleFree {
-        return None;
-    }
-    let path = err_path(err)?.clone();
-    let stmt = get_stmt(prog, &path)?;
-    let mut var = None;
-    if !stmt_deallocs_var(stmt, &mut var) {
-        return None;
-    }
-    rb_lang::visit::remove_stmt(prog, &path).map(|_| ())
-}
-
-/// Fix a `dealloc`'s layout arguments from the matching `alloc`.
-fn fix_dealloc_layout(prog: &mut Program, err: &MiriError) -> Option<()> {
-    if err.kind != UbKind::BadDealloc {
-        return None;
-    }
-    let (_, size, align) = find_alloc(prog)?;
-    let path = err_path(err)?.clone();
-    rewrite_stmt_at(prog, &path, &mut |e| {
-        if let Expr::Builtin(BuiltinKind::Dealloc, _, args) = e {
-            args[1] = size.clone();
-            args[2] = align.clone();
-        }
-    })
-    .then_some(())
-}
-
-/// Append `unsafe { dealloc(p, size, align); }` at the end of `main`.
-fn add_dealloc(prog: &mut Program) -> Option<()> {
-    let (var, size, align) = find_alloc(prog)?;
-    // Refuse when a dealloc already exists somewhere.
-    let mut already = false;
-    for_each_stmt(prog, |s, _| {
-        let mut v = None;
-        if stmt_deallocs_var(s, &mut v) {
-            already = true;
-        }
-    });
-    if already {
-        return None;
-    }
-    let main = main_body(prog)?;
-    main.stmts
-        .push(Stmt::Unsafe(Block::new(vec![Stmt::Expr(Expr::Builtin(
-            BuiltinKind::Dealloc,
-            Vec::new(),
-            vec![Expr::Var(var), size, align],
-        ))])));
-    Some(())
-}
-
-/// Splice the first scope containing a raw-pointer escape into its parent.
-fn hoist_local_out(prog: &mut Program) -> Option<()> {
-    let main = main_body(prog)?;
-    let mut idx = None;
-    for (i, s) in main.stmts.iter().enumerate() {
-        if let Stmt::Scope(body) = s {
-            let escapes = body
-                .stmts
-                .iter()
-                .any(|inner| stmt_contains(inner, &mut |e| matches!(e, Expr::RawAddrOf(..))));
-            if escapes {
-                idx = Some(i);
-                break;
-            }
-        }
-    }
-    let i = idx?;
-    let Stmt::Scope(body) = main.stmts.remove(i) else {
+/// The snapped literal a `ptr_offset(p, lit)` gets: 0 (`up == false`) or
+/// `lit` rounded up to 4, the common read alignment. `None` when the
+/// expression is no such offset or is already snapped.
+fn snapped_offset(e: &Expr, up: bool) -> Option<(i64, IntTy)> {
+    let Expr::Builtin(BuiltinKind::PtrOffset, _, args) = e else {
         return None;
     };
-    for (k, inner) in body.stmts.into_iter().enumerate() {
-        main.stmts.insert(i + k, inner);
-    }
-    Some(())
-}
-
-/// Move the premature `dealloc` statement to the end of `main`.
-fn reorder_dealloc(prog: &mut Program, err: &MiriError) -> Option<()> {
-    // Plausible whenever memory errors and a dealloc coexist; only actually
-    // fixes use-after-free orderings.
-    if !err.kind.is_ub() {
+    let Expr::Lit(Lit::Int(v, t)) = &args[1] else {
         return None;
-    }
-    let main = main_body(prog)?;
-    let mut idx = None;
-    for (i, s) in main.stmts.iter().enumerate() {
-        let mut v = None;
-        if stmt_deallocs_var(s, &mut v) {
-            idx = Some(i);
-            break;
-        }
-    }
-    let i = idx?;
-    if i + 1 >= main.stmts.len() {
-        return None; // already last
-    }
-    let dealloc = main.stmts.remove(i);
-    main.stmts.push(dealloc);
-    Some(())
+    };
+    let new = if up {
+        ((*v as i64 + 3) / 4 * 4).max(4)
+    } else {
+        0
+    };
+    (new != *v as i64).then_some((new, *t))
 }
 
-/// Snap a `ptr_offset` literal: `up == false` → 0; `up == true` → round up
-/// to 4 (the common read alignment).
-fn align_offset(prog: &mut Program, err: &MiriError, up: bool) -> Option<()> {
+fn locate_align_offset<'p>(prog: &'p Program, err: &'p MiriError, up: bool) -> Option<Site<'p>> {
     if !matches!(
         err.kind,
         UbKind::OutOfBounds
@@ -1233,28 +1527,13 @@ fn align_offset(prog: &mut Program, err: &MiriError, up: bool) -> Option<()> {
     ) {
         return None;
     }
-    let path = err_path(err)?.clone();
-    let mut changed = false;
-    rewrite_stmt_at(prog, &path, &mut |e| {
-        if let Expr::Builtin(BuiltinKind::PtrOffset, _, args) = e {
-            if let Expr::Lit(Lit::Int(v, t)) = &args[1] {
-                let new = if up {
-                    ((*v as i64 + 3) / 4 * 4).max(4)
-                } else {
-                    0
-                };
-                if new != *v as i64 {
-                    args[1] = int_lit(new, *t);
-                    changed = true;
-                }
-            }
-        }
-    });
-    changed.then_some(())
+    let (path, stmt) = stmt_at(prog, err)?;
+    stmt_contains(stmt, |e| snapped_offset(e, up).is_some())
+        .then_some(Site::AlignOffset { path, up })
 }
 
 /// Move the initialising `ptr_write` before the faulting read.
-fn initialize_before_read(prog: &mut Program, err: &MiriError) -> Option<()> {
+fn locate_initialize_before_read<'p>(prog: &'p Program, err: &MiriError) -> Option<Site<'p>> {
     if !matches!(
         err.kind,
         UbKind::UninitRead
@@ -1265,134 +1544,76 @@ fn initialize_before_read(prog: &mut Program, err: &MiriError) -> Option<()> {
     ) {
         return None;
     }
-    let read_idx = err_path(err)?.steps.first()?.0;
-    let main = main_body(prog)?;
-    // Find a later statement containing ptr_write to move before the read.
-    let mut write_idx = None;
-    for (i, s) in main.stmts.iter().enumerate().skip(read_idx + 1) {
-        let mut has_write = false;
-        deep_exprs(s, &mut |top| {
-            walk_expr(top, &mut |e| {
-                if matches!(e, Expr::Builtin(BuiltinKind::PtrWrite, ..)) {
-                    has_write = true;
-                }
-            });
-        });
-        if has_write {
-            write_idx = Some(i);
-            break;
-        }
+    let read = err.path.as_ref()?.steps.first()?.0;
+    // A later statement of main containing a ptr_write.
+    let write = main_fn(prog)?
+        .body
+        .stmts
+        .iter()
+        .enumerate()
+        .skip(read + 1)
+        .find(|(_, s)| stmt_writes_ptr(s))?
+        .0;
+    Some(Site::InitializeBeforeRead { read, write })
+}
+
+/// The literal `e` becomes when it is a union literal initialising another
+/// field than `field`, whose type for `field` is an integer.
+fn union_retype(e: &Expr, field: &str, unions: &[UnionDef]) -> Option<(i128, IntTy)> {
+    let Expr::UnionLit(u, f, v) = e else {
+        return None;
+    };
+    if f == field {
+        return None;
     }
-    let wi = write_idx?;
-    // If the write statement also deallocs, split would be wrong; only move
-    // a pure-write unsafe block, else extract the write.
-    let stmt = main.stmts.remove(wi);
-    match stmt {
-        Stmt::Unsafe(mut body) => {
-            let mut writes = Vec::new();
-            let mut rest = Vec::new();
-            for s in std::mem::take(&mut body.stmts) {
-                let mut has_write = false;
-                deep_exprs(&s, &mut |top| {
-                    walk_expr(top, &mut |e| {
-                        if matches!(e, Expr::Builtin(BuiltinKind::PtrWrite, ..)) {
-                            has_write = true;
-                        }
-                    });
-                });
-                if has_write {
-                    writes.push(s);
-                } else {
-                    rest.push(s);
-                }
-            }
-            if !rest.is_empty() {
-                main.stmts.insert(wi, Stmt::Unsafe(Block::new(rest)));
-            }
-            main.stmts
-                .insert(read_idx, Stmt::Unsafe(Block::new(writes)));
-            Some(())
-        }
-        other => {
-            main.stmts.insert(read_idx, other);
-            Some(())
-        }
+    let def = unions.iter().find(|d| d.name == *u)?;
+    let (_, fty) = def.fields.iter().find(|(n, _)| n == field)?;
+    match (&**v, fty) {
+        (Expr::Lit(Lit::Int(val, _)), Ty::Int(t)) => Some((*val, *t)),
+        _ => None,
     }
 }
 
 /// Rewrite `U { small: v u8 }` so the field actually read is initialised.
-fn union_largest_field(prog: &mut Program) -> Option<()> {
-    // Which field is read?
-    let mut read_field: Option<String> = None;
-    for_each_stmt(prog, |s, _| {
-        for_each_expr_in_stmt(s, |top| {
-            walk_expr(top, &mut |e| {
-                if let Expr::UnionField(_, f) = e {
-                    read_field = Some(f.clone());
-                }
-            });
+fn locate_union_field(prog: &Program) -> Option<Site<'_>> {
+    // Which field is read (the last read wins)?
+    let mut read_field = None;
+    walk_stmts(prog, |s| {
+        for_each_expr_in_stmt(s, |e| {
+            if let Expr::UnionField(_, f) = e {
+                read_field = Some(f.as_str());
+            }
         });
     });
     let field = read_field?;
-    // The union's field type, for the literal re-typing.
-    let unions = prog.unions.clone();
-    let mut changed = false;
-    rb_lang::visit::map_exprs(prog, &mut |e| {
-        if let Expr::UnionLit(u, f, v) = e {
-            if *f != field {
-                if let Some(def) = unions.iter().find(|d| d.name == *u) {
-                    if let Some((_, fty)) = def.fields.iter().find(|(n, _)| *n == field) {
-                        if let (Expr::Lit(Lit::Int(val, _)), Ty::Int(t)) = (&**v, fty) {
-                            *e = Expr::UnionLit(
-                                u.clone(),
-                                field.clone(),
-                                Box::new(Expr::Lit(Lit::Int(*val, *t))),
-                            );
-                            changed = true;
-                        }
-                    }
-                }
-            }
-        }
-    });
-    changed.then_some(())
+    let unions = &prog.unions;
+    any_expr(prog, |e| union_retype(e, field, unions).is_some())
+        .then_some(Site::UnionField { field, unions })
 }
 
-/// Inside the faulting block, move a raw-pointer `let` after the write that
-/// invalidates it.
-fn retake_pointer(prog: &mut Program, err: &MiriError) -> Option<()> {
-    if !matches!(err.kind, UbKind::StackBorrowViolation) {
-        return None;
-    }
-    let path = err_path(err)?.clone();
-    let Some(Stmt::Unsafe(body)) = rb_lang::visit::get_stmt_mut(prog, &path) else {
-        return None;
-    };
-    // Pattern: [.., let p = &raw _ / &_, assign to var, ..] -> swap, so the
-    // pointer/reference is taken *after* the conflicting write.
-    let mut let_idx = None;
-    for (i, s) in body.stmts.iter().enumerate() {
-        if let Stmt::Let {
-            init: Expr::RawAddrOf(..) | Expr::AddrOf(..),
-            ..
-        } = s
-        {
-            if matches!(body.stmts.get(i + 1), Some(Stmt::Assign { .. })) {
-                let_idx = Some(i);
-                break;
-            }
-        }
-    }
-    let i = let_idx?;
-    body.stmts.swap(i, i + 1);
-    Some(())
+/// In a faulting unsafe block `[.., let p = &raw _ / &_, assign, ..]`: the
+/// index of the `let`, so swapping it with the assignment takes the
+/// pointer/reference *after* the conflicting write.
+fn retake_index(body: &Block) -> Option<usize> {
+    body.stmts.windows(2).position(|w| {
+        matches!(
+            w,
+            [
+                Stmt::Let {
+                    init: Expr::RawAddrOf(..) | Expr::AddrOf(..),
+                    ..
+                },
+                Stmt::Assign { .. }
+            ]
+        )
+    })
 }
 
 /// Remove the second of two `&mut` reborrows and redirect its uses.
-fn single_mut_borrow(prog: &mut Program) -> Option<()> {
+fn locate_single_mut_borrow(prog: &Program) -> Option<Site<'_>> {
     // Find two let-bindings of `&mut same-var`.
-    let mut first: Option<(String, String)> = None; // (name, target)
-    let mut second: Option<(String, StmtPath)> = None;
+    let mut first: Option<(&str, &str)> = None; // (name, target)
+    let mut second: Option<(&str, StmtPath)> = None;
     for_each_stmt(prog, |s, p| {
         if let Stmt::Let {
             name,
@@ -1401,255 +1622,104 @@ fn single_mut_borrow(prog: &mut Program) -> Option<()> {
         } = s
         {
             if let Expr::Var(target) = &**t {
-                match &first {
-                    None => first = Some((name.clone(), target.clone())),
+                match first {
+                    None => first = Some((name.as_str(), target.as_str())),
                     Some((_, ft)) if ft == target && second.is_none() => {
-                        second = Some((name.clone(), p.clone()));
+                        second = Some((name.as_str(), p.clone()));
                     }
                     _ => {}
                 }
             }
         }
     });
-    let (first_name, _) = first?;
-    let (second_name, second_path) = second?;
-    rb_lang::visit::remove_stmt(prog, &second_path)?;
-    rb_lang::visit::map_exprs(prog, &mut |e| {
-        if matches!(e, Expr::Var(n) if *n == second_name) {
-            *e = Expr::Var(first_name.clone());
-        }
-    });
-    Some(())
+    let (keep, _) = first?;
+    let (drop, drop_path) = second?;
+    Some(Site::SingleMutBorrow {
+        keep,
+        drop,
+        drop_path,
+    })
 }
 
 /// Move a main-thread statement that races with spawned threads after the
 /// `join`.
-fn move_read_after_join(prog: &mut Program) -> Option<()> {
-    let main = main_body(prog)?;
-    let join_idx = main.stmts.iter().position(|s| matches!(s, Stmt::JoinAll))?;
+fn locate_read_before_join(prog: &Program) -> Option<Site<'_>> {
+    let stmts = &main_fn(prog)?.body.stmts;
+    let join = stmts.iter().position(|s| matches!(s, Stmt::JoinAll))?;
     // A statement between the first spawn and the join that touches a static.
-    let spawn_idx = main
-        .stmts
-        .iter()
-        .position(|s| matches!(s, Stmt::Spawn(_)))?;
-    let mut victim = None;
-    for (i, s) in main
-        .stmts
-        .iter()
-        .enumerate()
-        .take(join_idx)
-        .skip(spawn_idx + 1)
-    {
-        if matches!(s, Stmt::Spawn(_)) {
-            continue;
-        }
-        if stmt_contains(s, &mut |e| matches!(e, Expr::StaticRef(_))) {
-            victim = Some(i);
-            break;
-        }
-    }
-    let i = victim?;
-    let stmt = main.stmts.remove(i);
-    // join_idx shifted left by one.
-    main.stmts.insert(join_idx, stmt);
-    Some(())
+    let spawn = stmts.iter().position(|s| matches!(s, Stmt::Spawn(_)))?;
+    let victim = (spawn + 1..join).find(|&i| {
+        !matches!(stmts[i], Stmt::Spawn(_))
+            && stmt_contains(&stmts[i], |e| matches!(e, Expr::StaticRef(_)))
+    })?;
+    // Removing the victim shifts the join left by one, so inserting at the
+    // join's old index lands right after it.
+    Some(Site::MoveInMain {
+        from: victim,
+        to: join,
+    })
 }
 
 /// Turn `tailcall f(args)` into a plain call (+ return of the first param
 /// when the callee returns unit but the caller does not).
-fn tailcall_to_return(prog: &mut Program) -> Option<()> {
-    let mut target: Option<(StmtPath, String, Vec<Expr>)> = None;
+fn locate_tailcall(prog: &Program) -> Option<Site<'_>> {
+    let mut target = None;
     for_each_stmt(prog, |s, p| {
         if target.is_none() {
             if let Stmt::TailCall(name, args) = s {
-                target = Some((p.clone(), name.clone(), args.clone()));
+                target = Some((p.clone(), name.as_str(), args.as_slice()));
             }
         }
     });
     let (path, name, args) = target?;
-    let callee_ret = prog.func(&name)?.ret.clone();
+    let callee_ret = &prog.func(name)?.ret;
     let caller = prog.funcs.get(path.func)?;
-    let caller_ret = caller.ret.clone();
-    let first_param = caller.params.first().map(|(n, _)| n.clone());
-    if callee_ret == caller_ret {
-        rb_lang::visit::replace_stmt(prog, &path, Stmt::Return(Some(Expr::Call(name, args))))
-            .then_some(())
-    } else if callee_ret == Ty::Unit {
-        let ret_val = first_param.map_or(Expr::i32(0), Expr::var0);
-        let ok1 = rb_lang::visit::replace_stmt(prog, &path, Stmt::Expr(Expr::Call(name, args)));
-        let ok2 = rb_lang::visit::insert_after(prog, &path, Stmt::Return(Some(ret_val)));
-        (ok1 && ok2).then_some(())
+    if *callee_ret == caller.ret {
+        Some(Site::TailCallReturn { path, name, args })
+    } else if *callee_ret == Ty::Unit {
+        let param = caller.params.first().map(|(n, _)| n.as_str());
+        Some(Site::TailCallThenReturn {
+            path,
+            name,
+            args,
+            param,
+        })
     } else {
         None
     }
 }
 
-trait VarExt {
-    fn var0(name: String) -> Expr;
-}
-impl VarExt for Expr {
-    fn var0(name: String) -> Expr {
-        Expr::Var(name)
-    }
-}
-
-/// Fix an out-of-bounds index literal to `len - 1`.
-fn fix_literal_index(prog: &mut Program, err: &MiriError) -> Option<()> {
-    if err.kind != UbKind::PanicIndex {
-        return None;
-    }
-    // Array length from any `let arr: [T; N]`.
-    let mut len = 0usize;
-    for_each_stmt(prog, |s, _| {
-        if let Stmt::Let {
-            ty: Ty::Array(_, n),
+/// A top-level `let <index var> = <literal >= len>`: its name and type.
+fn oob_index_let(s: &Stmt, len: usize) -> Option<(&str, IntTy)> {
+    match s {
+        Stmt::Let {
+            name,
+            init: Expr::Lit(Lit::Int(v, t)),
             ..
-        } = s
-        {
-            len = *n;
+        } if (name.contains("idx") || name.contains('i')) && *v >= len as i128 => {
+            Some((name.as_str(), *t))
         }
-    });
-    if len == 0 {
-        return None;
+        _ => None,
     }
-    // Fix the literal in the index-variable definition.
-    let mut changed = false;
-    rb_lang::visit::map_exprs(prog, &mut |_| {});
-    for f in &mut prog.funcs {
-        for s in &mut f.body.stmts {
-            if let Stmt::Let {
-                name,
-                init: Expr::Lit(Lit::Int(v, t)),
-                ..
-            } = s
-            {
-                if (name.contains("idx") || name.contains("i")) && *v >= len as i128 {
-                    *s = Stmt::Let {
-                        name: name.clone(),
-                        ty: Ty::Int(*t),
-                        init: int_lit(len as i64 - 1, *t),
-                    };
-                    changed = true;
-                }
-            }
-        }
-    }
-    changed.then_some(())
 }
 
-/// Push the `copy_nonoverlapping` destination past the source range.
-fn copy_without_overlap(prog: &mut Program) -> Option<()> {
-    let mut changed = false;
-    rb_lang::visit::map_exprs(prog, &mut |e| {
-        if let Expr::Builtin(BuiltinKind::CopyNonoverlapping, _, args) = e {
-            let count = match &args[2] {
-                Expr::Lit(Lit::Int(n, _)) => *n as i64,
-                _ => return,
-            };
-            if let Expr::Builtin(BuiltinKind::PtrOffset, _, off_args) = &mut args[1] {
-                if let Expr::Lit(Lit::Int(v, t)) = &off_args[1] {
-                    if (*v as i64) < count {
-                        off_args[1] = int_lit(count, *t);
-                        changed = true;
-                    }
-                }
-            }
-        }
-    });
-    changed.then_some(())
-}
-
-// ---- hallucination -------------------------------------------------------------
-
-fn delete_statement(prog: &mut Program, err: &MiriError) -> Option<()> {
-    let path = err_path(err)?.clone();
-    rb_lang::visit::remove_stmt(prog, &path).map(|_| ())
-}
-
-fn duplicate_statement(prog: &mut Program, err: &MiriError) -> Option<()> {
-    let path = err_path(err)?.clone();
-    let stmt = get_stmt(prog, &path).cloned()?;
-    rb_lang::visit::insert_after(prog, &path, stmt).then_some(())
-}
-
-fn perturb_literal(prog: &mut Program, err: &MiriError) -> Option<()> {
-    let path = err_path(err)?.clone();
-    let mut done = false;
-    rewrite_stmt_at(prog, &path, &mut |e| {
-        if done {
-            return;
-        }
-        if let Expr::Lit(Lit::Int(v, t)) = e {
-            *e = Expr::Lit(Lit::Int(t.wrap(*v + 1), *t));
-            done = true;
-        }
-    });
-    done.then_some(())
-}
-
-/// Unwrap the first `unsafe` block in `main`, exposing unsafe operations
-/// in a safe context — the classic non-compiling LLM patch.
-fn strip_unsafe(prog: &mut Program) -> Option<()> {
-    let main = main_body(prog)?;
-    let idx = main
-        .stmts
-        .iter()
-        .position(|s| matches!(s, Stmt::Unsafe(_)))?;
-    let Stmt::Unsafe(body) = main.stmts.remove(idx) else {
+/// `copy_nonoverlapping(src, ptr_offset(p, lit), count)` with `lit <
+/// count`: the destination offset (`count`) that separates the ranges.
+fn overlap_fix(e: &Expr) -> Option<(i64, IntTy)> {
+    let Expr::Builtin(BuiltinKind::CopyNonoverlapping, _, args) = e else {
         return None;
     };
-    if body.stmts.is_empty() {
+    let Expr::Lit(Lit::Int(n, _)) = &args[2] else {
         return None;
-    }
-    for (k, inner) in body.stmts.into_iter().enumerate() {
-        main.stmts.insert(idx + k, inner);
-    }
-    Some(())
-}
-
-/// Rename the first let binding in `main` at its definition only, leaving
-/// its uses dangling.
-fn break_binding(prog: &mut Program) -> Option<()> {
-    let main = main_body(prog)?;
-    for s in &mut main.stmts {
-        if let Stmt::Let { name, .. } = s {
-            name.push_str("_renamed");
-            return Some(());
-        }
-    }
-    None
-}
-
-/// Flip the declared type of the first integer let in `main`.
-fn break_types(prog: &mut Program) -> Option<()> {
-    let main = main_body(prog)?;
-    for s in &mut main.stmts {
-        if let Stmt::Let { ty, .. } = s {
-            if matches!(ty, Ty::Int(IntTy::I32)) {
-                *ty = Ty::Bool;
-                return Some(());
-            }
-        }
-    }
-    None
-}
-
-fn disable_statement(prog: &mut Program, err: &MiriError) -> Option<()> {
-    let path = err_path(err)?.clone();
-    let stmt = get_stmt(prog, &path).cloned()?;
-    let disabled = Stmt::If {
-        cond: Expr::Lit(Lit::Bool(false)),
-        then_blk: Block::new(vec![stmt]),
-        else_blk: None,
     };
-    rb_lang::visit::replace_stmt(prog, &path, disabled).then_some(())
-}
-
-// Small helper used by several rules above; kept at the bottom to avoid
-// cluttering the rule bodies.
-#[allow(dead_code)]
-fn err_ref(err: &MiriError) -> &MiriError {
-    err
+    let count = *n as i64;
+    let Expr::Builtin(BuiltinKind::PtrOffset, _, off_args) = &args[1] else {
+        return None;
+    };
+    let Expr::Lit(Lit::Int(v, t)) = &off_args[1] else {
+        return None;
+    };
+    ((*v as i64) < count).then_some((count, *t))
 }
 
 #[cfg(test)]
