@@ -12,6 +12,7 @@ use crate::slow::{execute_solution, SolutionOutcome};
 use crate::solution::Solution;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use rb_lang::vectorize::AstVector;
 use rb_lang::Program;
 use rb_llm::{LanguageModel, ModelCallStats, RepairRule, SimulatedModel};
 use rb_miri::{DirectOracle, MiriReport, Oracle, OracleUse, UbClass};
@@ -31,24 +32,18 @@ pub struct RepairOutcome {
     pub oracle_runs: usize,
     /// Oracle judgements that executed the interpreter fresh.
     ///
-    /// Together with `oracle_cached` and `oracle_prevetoed` this covers
-    /// *every* judgement the repair made — the initial detection, each
-    /// verification counted in `oracle_runs`, and rollback
-    /// re-verifications — so `oracle_executed + oracle_cached +
-    /// oracle_prevetoed >= oracle_runs`, with the total itself identical
-    /// across oracles and preflight settings. The three-way split is pure
-    /// telemetry and is the *only* part of the outcome allowed to differ
-    /// between a caching oracle and [`DirectOracle`], or between preflight
-    /// on and off (everything else is bit-identical — property-tested in
-    /// `rb_engine`'s oracle-equivalence and preflight-equivalence suites).
+    /// Together with `oracle_cached` this covers *every* judgement the
+    /// repair made — the initial detection, each verification counted in
+    /// `oracle_runs`, and rollback re-verifications — so `oracle_executed +
+    /// oracle_cached >= oracle_runs`, with the total itself identical across
+    /// oracles. The split is pure telemetry and is the *only* part of the
+    /// outcome allowed to differ between a caching oracle and
+    /// [`DirectOracle`] (everything else is bit-identical — property-tested
+    /// in `rb_engine`'s oracle-equivalence suite).
     pub oracle_executed: usize,
     /// Oracle judgements served from a cache (always 0 under
     /// [`DirectOracle`]).
     pub oracle_cached: usize,
-    /// Judgements the static preflight resolved without the oracle:
-    /// `rb_lint` proved the candidate's exact verdict, so the interpreter
-    /// (and any cache) was never consulted.
-    pub oracle_prevetoed: usize,
     /// Solutions attempted before stopping.
     pub solutions_tried: usize,
     /// Knowledge-base lookups this repair made: the up-front S3→F
@@ -201,10 +196,13 @@ impl RustBrain {
     }
 
     /// Executes one solution — exposed for the RQ1 flexibility experiment.
+    /// `vector` is `program`'s retrieval key when the caller already has it
+    /// (see [`execute_solution`]).
     pub fn execute_one(
         &mut self,
-        program: &Program,
+        program: &Arc<Program>,
         report: &Arc<MiriReport>,
+        vector: Option<&AstVector>,
         solution: &Solution,
         reference: &[String],
         budget: usize,
@@ -215,9 +213,9 @@ impl RustBrain {
             &mut self.model,
             kb,
             self.config.rollback,
-            self.config.preflight,
             program,
             report,
+            vector,
             solution,
             reference,
             budget,
@@ -272,7 +270,6 @@ impl RustBrain {
                 oracle_runs: 1,
                 oracle_executed: oracle_use.executed,
                 oracle_cached: oracle_use.cached,
-                oracle_prevetoed: oracle_use.prevetoed,
                 solutions_tried: 0,
                 kb_queries: 0,
                 kb_query_time_ms: 0.0,
@@ -342,8 +339,10 @@ impl RustBrain {
         // restart-from-initial always re-derives from scratch, and
         // no-rollback continues from wherever the last solution *ended* —
         // letting hallucinated damage compound across the whole process
-        // (the paper's Fig. 5a).
-        let mut start_state: Option<(Program, Arc<MiriReport>)> = None;
+        // (the paper's Fig. 5a). Every state is shared: the input is
+        // wrapped once, and each solution start is a reference-count bump.
+        let input = Arc::new(program.clone());
+        let mut start_state: Option<(Arc<Program>, Arc<MiriReport>)> = None;
         let calls_at_start = self.model.stats().calls;
         for (i, solution) in solutions.iter().enumerate() {
             if total_runs >= self.config.max_iterations
@@ -357,15 +356,22 @@ impl RustBrain {
                 .max(self.config.max_steps_per_solution);
             let (start_prog, start_report) = match (&self.config.rollback, &start_state) {
                 (crate::config::RollbackPolicy::ToInitial, _) | (_, None) => {
-                    (program.clone(), Arc::clone(&report))
+                    (Arc::clone(&input), Arc::clone(&report))
                 }
-                (_, Some((p, r))) => (p.clone(), Arc::clone(r)),
+                (_, Some((p, r))) => (Arc::clone(p), Arc::clone(r)),
             };
             let outcome = {
                 let mut solution_span = rb_obs::span("solution");
                 solution_span.tag("index", i.to_string());
-                let outcome =
-                    self.execute_one(&start_prog, &start_report, solution, reference, budget);
+                let vector = Arc::ptr_eq(&start_prog, &input).then_some(&features.vector);
+                let outcome = self.execute_one(
+                    &start_prog,
+                    &start_report,
+                    vector,
+                    solution,
+                    reference,
+                    budget,
+                );
                 solution_span.add_sim_ms(outcome.overhead_ms);
                 solution_span.tag("accuracy", outcome.eval.accuracy.to_string());
                 outcome
@@ -377,18 +383,21 @@ impl RustBrain {
                     // foothold for refinement, so seek a fresh path from
                     // the original program instead.
                     if outcome.eval.accuracy {
-                        (program.clone(), Arc::clone(&report))
+                        (Arc::clone(&input), Arc::clone(&report))
                     } else {
                         let reverified = self
                             .oracle
                             .judge_recording(&outcome.final_program, &mut oracle_use);
-                        (outcome.final_program.clone(), reverified)
+                        (Arc::clone(&outcome.final_program), reverified)
                     }
                 }
-                crate::config::RollbackPolicy::None => {
-                    (outcome.end_program.clone(), outcome.end_report.clone())
+                crate::config::RollbackPolicy::None => (
+                    Arc::clone(&outcome.end_program),
+                    Arc::clone(&outcome.end_report),
+                ),
+                crate::config::RollbackPolicy::ToInitial => {
+                    (Arc::clone(&input), Arc::clone(&report))
                 }
-                crate::config::RollbackPolicy::ToInitial => (program.clone(), Arc::clone(&report)),
             });
             tried += 1;
             total_overhead += outcome.overhead_ms;
@@ -430,11 +439,10 @@ impl RustBrain {
             oracle_runs: total_runs,
             oracle_executed: oracle_use.executed,
             oracle_cached: oracle_use.cached,
-            oracle_prevetoed: oracle_use.prevetoed,
             solutions_tried: tried,
             kb_queries: kb_consults + (self.knowledge.queries() - kb_queries_before),
             kb_query_time_ms: kb_consult_ms + (self.knowledge.query_time_ms() - kb_time_before),
-            final_program: best.final_program.clone(),
+            final_program: Program::clone(&best.final_program),
             error_history: history,
             rules_applied: best.steps.iter().filter_map(|s| s.rule).collect(),
             rollbacks,
@@ -507,7 +515,7 @@ mod tests {
         // The split covers every judgement (initial detection, inner
         // verifications, rollback re-verifications) — at least the
         // budget-counted runs, plus the initial detection.
-        assert!(out.oracle_executed + out.oracle_cached + out.oracle_prevetoed > out.oracle_runs);
+        assert!(out.oracle_executed + out.oracle_cached > out.oracle_runs);
         // The default DirectOracle never serves from a cache.
         assert_eq!(out.oracle_cached, 0);
 
@@ -517,36 +525,17 @@ mod tests {
             (out.oracle_runs, out.oracle_executed, out.oracle_cached),
             (1, 1, 0)
         );
-        assert_eq!(out.oracle_prevetoed, 0);
     }
 
     #[test]
-    fn triage_is_recorded_and_preflight_preserves_results() {
+    fn triage_is_recorded() {
         let (p, gold) = double_free();
         // On the corpus-style double free the lint's diagnosis is sound
         // and matches the oracle's class.
         let mut rb = RustBrain::new(RustBrainConfig::for_model(ModelId::Gpt4, 42));
-        let on = rb.repair(&p, &gold);
-        assert!(on.lint_agrees, "lint class: {:?}", on.lint_class);
-        assert_eq!(on.lint_class, Some(UbClass::Alloc));
-
-        // Preflight off: identical repair results; only the three-way
-        // oracle split may shift (prevetoed judgements become executed).
-        let mut config = RustBrainConfig::for_model(ModelId::Gpt4, 42);
-        config.preflight = false;
-        let mut rb_off = RustBrain::new(config);
-        let off = rb_off.repair(&p, &gold);
-        assert_eq!(off.oracle_prevetoed, 0);
-        assert_eq!(on.passed, off.passed);
-        assert_eq!(on.acceptable, off.acceptable);
-        assert_eq!(on.overhead_ms, off.overhead_ms);
-        assert_eq!(on.oracle_runs, off.oracle_runs);
-        assert_eq!(on.error_history, off.error_history);
-        assert_eq!(on.final_program, off.final_program);
-        assert_eq!(
-            on.oracle_executed + on.oracle_cached + on.oracle_prevetoed,
-            off.oracle_executed + off.oracle_cached
-        );
+        let out = rb.repair(&p, &gold);
+        assert!(out.lint_agrees, "lint class: {:?}", out.lint_class);
+        assert_eq!(out.lint_class, Some(UbClass::Alloc));
     }
 
     #[test]

@@ -7,10 +7,10 @@
 
 use crate::config::RollbackPolicy;
 use crate::evaluate::{evaluate_with_report, EvalTriplet};
+use crate::features::retrieval_vector;
 use crate::knowledge::KnowledgeBase;
 use crate::rollback::{RollbackTracker, ThoughtTrace};
 use crate::solution::{AgentKind, Solution};
-use rb_lang::prune::prune_program;
 use rb_lang::vectorize::AstVector;
 use rb_lang::Program;
 use rb_llm::{LanguageModel, RepairContext, RepairRule};
@@ -46,7 +46,7 @@ pub struct SolutionOutcome {
     /// The executed solution.
     pub solution: Solution,
     /// Best program state reached.
-    pub final_program: Program,
+    pub final_program: Arc<Program>,
     /// Evaluation triplet of the best state.
     pub eval: EvalTriplet,
     /// Per-step records.
@@ -64,7 +64,7 @@ pub struct SolutionOutcome {
     pub fixing_rule: Option<RepairRule>,
     /// The state the slow-thinking process *ended* in (not necessarily the
     /// best one) — the continuation point under the no-rollback policy.
-    pub end_program: Program,
+    pub end_program: Arc<Program>,
     /// Oracle report of the end state (shared, possibly cache-served).
     pub end_report: Arc<MiriReport>,
 }
@@ -75,28 +75,24 @@ pub struct SolutionOutcome {
 /// Steps run in order; the solution is cycled (up to three passes) while it
 /// keeps making progress — the paper's "fine-tune solution" refinement.
 ///
-/// With `preflight` on, each candidate first goes through `rb_lint`: when
-/// the static analysis is *complete* (every finding sound and exhaustive)
-/// and proves the candidate a strict regression whose findings include the
-/// diagnosed class, the oracle call is skipped and the judgement is booked
-/// as `prevetoed`. The veto replays exactly the state transition the real
-/// verdict would have caused (see [`RollbackTracker::observe_vetoed`]), so
-/// repair results are bit-identical with the flag on or off — only the
-/// executed/cached/prevetoed split of the oracle accounting moves.
+/// Program states are shared through the rollback tracker, never copied.
+/// `vector` is the retrieval key of `program` when the caller already has
+/// it: abstract-reasoning steps taken from that very state then reuse it
+/// instead of pruning and embedding the program again.
 #[allow(clippy::too_many_arguments)]
 pub fn execute_solution(
     oracle: &dyn Oracle,
     model: &mut dyn LanguageModel,
     mut kb: Option<&mut KnowledgeBase>,
     policy: RollbackPolicy,
-    preflight: bool,
-    program: &Program,
+    program: &Arc<Program>,
     report: &Arc<MiriReport>,
+    vector: Option<&AstVector>,
     solution: &Solution,
     reference: &[String],
     max_oracle_runs: usize,
 ) -> SolutionOutcome {
-    let mut tracker = RollbackTracker::new(policy, program.clone(), Arc::clone(report));
+    let mut tracker = RollbackTracker::new(policy, Arc::clone(program), Arc::clone(report));
     let mut steps: Vec<StepRecord> = Vec::new();
     let mut overhead = 0.0f64;
     let mut oracle_runs = 0usize;
@@ -110,8 +106,8 @@ pub fn execute_solution(
                 break 'passes;
             }
             let (cur_prog, cur_report) = {
-                let (p, r) = tracker.current_shared();
-                (p.clone(), Arc::clone(r))
+                let (p, r) = tracker.current();
+                (Arc::clone(p), Arc::clone(r))
             };
             let Some(primary) = cur_report.primary().cloned() else {
                 break 'passes;
@@ -126,11 +122,13 @@ pub fn execute_solution(
             let mut shots = Vec::new();
             if agent == AgentKind::AbstractReasoning {
                 if let Some(kb) = kb.as_deref_mut() {
-                    let (pruned, _) = prune_program(&cur_prog);
-                    let vector = if pruned.stmt_count() == 0 {
-                        AstVector::embed(&cur_prog)
-                    } else {
-                        AstVector::embed(&pruned)
+                    let embedded;
+                    let key = match vector {
+                        Some(v) if Arc::ptr_eq(&cur_prog, program) => v,
+                        _ => {
+                            embedded = retrieval_vector(&cur_prog).0;
+                            &embedded
+                        }
                     };
                     // The current report's class can differ from the
                     // case's initial class mid-repair (e.g. a bad patch
@@ -144,7 +142,7 @@ pub fn execute_solution(
                     cspan.add_sim_ms(consult_ms);
                     overhead += consult_ms;
                     step_span.add_sim_ms(consult_ms);
-                    shots = kb.query(&vector, primary.class(), 2);
+                    shots = kb.query(key, primary.class(), 2);
                 }
             }
             let mut ctx = RepairContext::new(&cur_prog, &primary, agent.strategy());
@@ -168,51 +166,18 @@ pub fn execute_solution(
             }
             match applied {
                 Some((rule, candidate)) => {
-                    // Static preflight: veto only when the lint *proves*
-                    // the exact verdict — a complete analysis (all
-                    // findings sound and exhaustive) showing a strict
-                    // regression that still carries the diagnosed class.
-                    // Both remaining policies then roll back to an
-                    // already-judged anchor, so the skipped report is
-                    // never needed.
-                    let vetoed_errors = if preflight && policy != RollbackPolicy::None {
-                        let a = rb_lint::analyze(&candidate);
-                        (a.complete
-                            && a.findings.len() > cur_report.error_count()
-                            && a.findings.iter().any(|f| f.class == primary.class()))
-                        .then_some(a.findings.len())
-                    } else {
-                        None
-                    };
                     oracle_runs += 1;
-                    // Simulated cost is charged per *judgement*, vetoed,
-                    // cached or not — preflight and the cache dodge real
-                    // interpreter work, never the modelled Miri latency
-                    // (determinism depends on it).
+                    // Simulated cost is charged per *judgement*, cached or
+                    // not — the cache dodges real interpreter work, never
+                    // the modelled Miri latency (determinism depends on it).
                     overhead += ORACLE_RUN_MS;
                     step_span.add_sim_ms(ORACLE_RUN_MS);
-                    let errors_after = match vetoed_errors {
-                        Some(errors_after) => {
-                            oracle_use.prevetoed += 1;
-                            rb_obs::metrics().counter_add(
-                                "rustbrain_oracle_judgements_total",
-                                Some(("result", "prevetoed")),
-                                1,
-                            );
-                            step_span.tag("prevetoed", "true");
-                            tracker.observe_vetoed(errors_after);
-                            errors_after
-                        }
-                        None => {
-                            let creport = oracle.judge_recording(&candidate, &mut oracle_use);
-                            let errors_after = creport.error_count();
-                            if errors_after == 0 {
-                                fixing_rule = Some(rule);
-                            }
-                            tracker.observe(candidate, creport);
-                            errors_after
-                        }
-                    };
+                    let creport = oracle.judge_recording(&candidate, &mut oracle_use);
+                    let errors_after = creport.error_count();
+                    if errors_after == 0 {
+                        fixing_rule = Some(rule);
+                    }
+                    tracker.observe(candidate, creport);
                     step_span.tag("rule", format!("{rule:?}"));
                     step_span.tag("errors_after", errors_after.to_string());
                     steps.push(StepRecord {
@@ -240,23 +205,24 @@ pub fn execute_solution(
         }
     }
 
-    let (end_prog, end_report) = {
-        let (p, r) = tracker.current_shared();
-        (p.clone(), Arc::clone(r))
+    let (end_program, end_report) = {
+        let (p, r) = tracker.current();
+        (Arc::clone(p), Arc::clone(r))
     };
-    let (best_prog, best_report) = tracker.best();
+    let (best_program, best_report) = tracker.best();
+    let final_program = Arc::clone(best_program);
     let eval = evaluate_with_report(best_report, reference, overhead);
     SolutionOutcome {
         solution: solution.clone(),
-        final_program: best_prog.clone(),
+        final_program,
         eval,
         steps,
-        trace: tracker.trace.clone(),
+        trace: tracker.trace,
         oracle_runs,
         oracle_use,
         overhead_ms: overhead,
         fixing_rule,
-        end_program: end_prog,
+        end_program,
         end_report,
     }
 }
@@ -267,7 +233,7 @@ mod tests {
     use rb_llm::{ModelId, SimulatedModel};
     use rb_miri::DirectOracle;
 
-    fn fixture() -> (Program, Arc<MiriReport>) {
+    fn fixture() -> (Arc<Program>, Arc<MiriReport>) {
         let p = rb_lang::parser::parse_program(
             "fn main() { let p: *mut u8 = 0 as *mut u8; \
              unsafe { p = alloc(4usize, 4usize); ptr_write::<i32>(p as *mut i32, 3i32); } \
@@ -277,7 +243,7 @@ mod tests {
         )
         .unwrap();
         let r = DirectOracle.judge(&p);
-        (p, r)
+        (Arc::new(p), r)
     }
 
     #[test]
@@ -290,9 +256,9 @@ mod tests {
             &mut model,
             None,
             RollbackPolicy::Adaptive,
-            true,
             &p,
             &r,
+            None,
             &sol,
             &["3".to_owned()],
             12,
@@ -320,9 +286,9 @@ mod tests {
             &mut model,
             None,
             RollbackPolicy::Adaptive,
-            true,
             &p,
             &r,
+            None,
             &sol,
             &["3".to_owned()],
             2,
@@ -340,14 +306,55 @@ mod tests {
             &mut model,
             None,
             RollbackPolicy::Adaptive,
-            true,
             &p,
             &r,
+            None,
             &sol,
             &["3".to_owned()],
             8,
         );
         assert_eq!(out.trace.error_counts[0], r.error_count());
         assert!(!out.trace.error_counts.is_empty());
+    }
+
+    #[test]
+    fn known_input_vector_matches_a_fresh_embedding() {
+        let (p, r) = fixture();
+        let (vector, _) = retrieval_vector(&p);
+        let mut seeded = KnowledgeBase::new();
+        seeded.insert(
+            vector.clone(),
+            rb_miri::UbClass::Alloc,
+            RepairRule::RemoveDoubleFree,
+        );
+        let sol = Solution::new(vec![AgentKind::AbstractReasoning, AgentKind::Modify]);
+        let run = |known: Option<&AstVector>| {
+            let mut kb = seeded.clone();
+            let mut model = SimulatedModel::new(ModelId::Gpt4, 0.5, 5);
+            let out = execute_solution(
+                &DirectOracle,
+                &mut model,
+                Some(&mut kb),
+                RollbackPolicy::Adaptive,
+                &p,
+                &r,
+                known,
+                &sol,
+                &["3".to_owned()],
+                8,
+            );
+            (out, kb.queries())
+        };
+        let (reused, reused_queries) = run(Some(&vector));
+        let (embedded, embedded_queries) = run(None);
+        assert!(
+            reused_queries > 0,
+            "the abstract-reasoning step never queried"
+        );
+        assert_eq!(reused_queries, embedded_queries);
+        assert_eq!(reused.steps, embedded.steps);
+        assert_eq!(reused.trace, embedded.trace);
+        assert_eq!(reused.final_program, embedded.final_program);
+        assert_eq!(reused.overhead_ms, embedded.overhead_ms);
     }
 }

@@ -382,7 +382,6 @@ impl Engine {
             kb_query_ms: results.iter().map(|r| r.kb_query_ms).sum(),
             oracle_executed: batch_use.executed as u64,
             oracle_cached: batch_use.cached as u64,
-            oracle_prevetoed: batch_use.prevetoed as u64,
             kb,
             cache,
             sched: SchedStats {

@@ -72,9 +72,6 @@ pub struct EngineStats {
     pub oracle_executed: u64,
     /// Oracle judgements served from the verdict cache.
     pub oracle_cached: u64,
-    /// Oracle judgements the static preflight (`rb_lint`) resolved without
-    /// running or caching the interpreter at all.
-    pub oracle_prevetoed: u64,
     /// Knowledge-base snapshot/delta merge accounting.
     pub kb: KbMergeStats,
     /// Oracle-cache effect of the batch: `hits`/`misses` count exactly
@@ -171,7 +168,7 @@ impl EngineStats {
                 "\"worker_cases\":{},\"imbalance\":{},",
                 "\"simulated_overhead_ms\":{},",
                 "\"kb_query_ms\":{},",
-                "\"oracle\":{{\"executed\":{},\"cached\":{},\"prevetoed\":{}}},",
+                "\"oracle\":{{\"executed\":{},\"cached\":{}}},",
                 "\"kb\":{{\"seeded\":{},\"merged_inserts\":{},",
                 "\"contributing_jobs\":{},\"coalesced\":{},\"final_entries\":{},",
                 "\"shards_written\":{},\"shards_skipped\":{}}},",
@@ -191,7 +188,6 @@ impl EngineStats {
             json_num(self.kb_query_ms),
             self.oracle_executed,
             self.oracle_cached,
-            self.oracle_prevetoed,
             self.kb.seeded_entries,
             self.kb.merged_inserts,
             self.kb.contributing_jobs,
@@ -256,7 +252,6 @@ mod tests {
             kb_query_ms: 18.5,
             oracle_executed: 7,
             oracle_cached: 21,
-            oracle_prevetoed: 4,
             kb: KbMergeStats {
                 seeded_entries: 1,
                 merged_inserts: 3,
@@ -287,7 +282,7 @@ mod tests {
         );
         assert!(json.contains("\"worker_utilization\":[0.9000,0.8000]"));
         assert!(json.contains("\"imbalance\":2.0000"));
-        assert!(json.contains("\"oracle\":{\"executed\":7,\"cached\":21,\"prevetoed\":4}"));
+        assert!(json.contains("\"oracle\":{\"executed\":7,\"cached\":21}"));
         assert!(json.contains("\"merged_inserts\":3"));
         assert!(json.contains("\"coalesced\":1"));
         assert!(json.contains("\"shards_written\":2"));

@@ -98,7 +98,6 @@ impl System {
                 let used = OracleUse {
                     executed: o.oracle_executed,
                     cached: o.oracle_cached,
-                    prevetoed: o.oracle_prevetoed,
                 };
                 (
                     o.passed,

@@ -6,13 +6,10 @@
 //!
 //! The single sanctioned exception is the `oracle_executed`/
 //! `oracle_cached` telemetry split (that difference is the cache's entire
-//! point); the comparison checks its invariant — `executed + cached +
-//! prevetoed >= oracle_runs`, since the split also covers the initial
-//! detection and rollback re-verifications that `oracle_runs` excludes,
-//! with the total itself oracle-independent — and then normalizes the
-//! executed/cached halves away. `oracle_prevetoed` is NOT normalized:
-//! the static preflight veto decides on `rb_lint` evidence alone, so it
-//! must land on exactly the same judgements under either oracle.
+//! point); the comparison checks its invariant — `executed + cached >=
+//! oracle_runs`, since the split also covers the initial detection and
+//! rollback re-verifications that `oracle_runs` excludes, with the total
+//! itself oracle-independent — and then normalizes the two halves away.
 
 use proptest::prelude::*;
 use rb_dataset::Corpus;
@@ -38,15 +35,14 @@ const CLASS_POOL: [UbClass; 6] = [
 /// never add or remove any.
 fn normalized(out: &RepairOutcome) -> String {
     assert!(
-        out.oracle_executed + out.oracle_cached + out.oracle_prevetoed >= out.oracle_runs,
+        out.oracle_executed + out.oracle_cached >= out.oracle_runs,
         "telemetry split lost budget-counted oracle runs"
     );
     format!(
-        "judgements={:?} prevetoed={:?} passed={:?} acceptable={:?} overhead_ms={:?} \
+        "judgements={:?} passed={:?} acceptable={:?} overhead_ms={:?} \
          oracle_runs={:?} solutions_tried={:?} final={:?} history={:?} rules={:?} \
          rollbacks={:?} best={:?} class={:?} lint_class={:?} lint_agrees={:?}",
-        out.oracle_executed + out.oracle_cached + out.oracle_prevetoed,
-        out.oracle_prevetoed,
+        out.oracle_executed + out.oracle_cached,
         out.passed,
         out.acceptable,
         out.overhead_ms,

@@ -107,9 +107,6 @@ pub struct OracleUse {
     pub executed: usize,
     /// Judgements served from a cache.
     pub cached: usize,
-    /// Judgements that never reached the oracle: the repair preflight
-    /// vetoed the candidate on static evidence alone (`rb_lint`).
-    pub prevetoed: usize,
 }
 
 impl OracleUse {
@@ -123,17 +120,16 @@ impl OracleUse {
         }
     }
 
-    /// Total judgements recorded, including statically prevetoed ones.
+    /// Total judgements recorded.
     #[must_use]
     pub fn total(&self) -> usize {
-        self.executed + self.cached + self.prevetoed
+        self.executed + self.cached
     }
 
     /// Folds another counter into this one.
     pub fn absorb(&mut self, other: OracleUse) {
         self.executed += other.executed;
         self.cached += other.cached;
-        self.prevetoed += other.prevetoed;
     }
 }
 
@@ -156,7 +152,7 @@ mod tests {
             used,
             OracleUse {
                 executed: 1,
-                ..OracleUse::default()
+                cached: 0
             }
         );
     }
@@ -184,8 +180,7 @@ mod tests {
             used,
             OracleUse {
                 executed: 1,
-                cached: 2,
-                ..OracleUse::default()
+                cached: 2
             }
         );
         assert_eq!(used.total(), 3);

@@ -363,7 +363,6 @@ fn handle_repair(
         0,
         outcome.oracle_executed as u64,
         outcome.oracle_cached as u64,
-        outcome.oracle_prevetoed as u64,
     );
     maybe_compact(state);
     Ok(format!(
@@ -449,7 +448,6 @@ fn handle_batch(
         outcome.stats.cache.misses,
         outcome.stats.oracle_executed,
         outcome.stats.oracle_cached,
-        outcome.stats.oracle_prevetoed,
     );
     state.stats.record_sched(
         outcome.stats.sched.steals,

@@ -81,9 +81,6 @@ pub struct ServeStats {
     pub oracle_executed: u64,
     /// Oracle judgements served from the verdict cache.
     pub oracle_cached: u64,
-    /// Oracle judgements the repair preflight resolved statically
-    /// (`rb_lint`) without running or caching the interpreter.
-    pub oracle_prevetoed: u64,
     /// Scheduling policy the daemon's batch engine dispatches under
     /// (the server fills this from its config; a bare recorder snapshot
     /// leaves it empty).
@@ -128,8 +125,7 @@ impl ServeStats {
                 "\"kb\":{{\"resident_shards\":{},\"shard_loads\":{},",
                 "\"entries\":{},\"weight\":{},\"merged_inserts\":{}}},",
                 "\"oracle\":{{\"cache_hits\":{},\"cache_misses\":{},",
-                "\"cache_hit_rate\":{},\"executed\":{},\"cached\":{},",
-                "\"prevetoed\":{}}},",
+                "\"cache_hit_rate\":{},\"executed\":{},\"cached\":{}}},",
                 "\"scheduler\":{{\"policy\":{},\"steals\":{},",
                 "\"queue_depth\":{}}},",
                 "\"trace\":{{\"active\":{},\"spans\":{}}}}}"
@@ -156,7 +152,6 @@ impl ServeStats {
             fmt_num(self.cache_hit_rate()),
             self.oracle_executed,
             self.oracle_cached,
-            self.oracle_prevetoed,
             crate::json::fmt_str(&self.sched_policy),
             self.sched_steals,
             self.sched_queue_depth,
@@ -355,21 +350,13 @@ impl StatsRecorder {
     }
 
     /// Records a request's oracle traffic: gold-reference cache
-    /// hits/misses and the executed/cached/prevetoed judgement split.
-    pub fn record_oracle(
-        &self,
-        hits: u64,
-        misses: u64,
-        executed: u64,
-        cached: u64,
-        prevetoed: u64,
-    ) {
+    /// hits/misses and the executed/cached judgement split.
+    pub fn record_oracle(&self, hits: u64, misses: u64, executed: u64, cached: u64) {
         let reg = &self.registry;
         reg.counter_add(CACHE_LOOKUPS, Some(("result", "hit")), hits);
         reg.counter_add(CACHE_LOOKUPS, Some(("result", "miss")), misses);
         reg.counter_add(ORACLE_JUDGEMENTS, Some(("result", "executed")), executed);
         reg.counter_add(ORACLE_JUDGEMENTS, Some(("result", "cached")), cached);
-        reg.counter_add(ORACLE_JUDGEMENTS, Some(("result", "prevetoed")), prevetoed);
     }
 
     /// Snapshots the counters by reading them back from the registry.
@@ -408,7 +395,6 @@ impl StatsRecorder {
             cache_misses: reg.counter(CACHE_LOOKUPS, Some(("result", "miss"))),
             oracle_executed: reg.counter(ORACLE_JUDGEMENTS, Some(("result", "executed"))),
             oracle_cached: reg.counter(ORACLE_JUDGEMENTS, Some(("result", "cached"))),
-            oracle_prevetoed: reg.counter(ORACLE_JUDGEMENTS, Some(("result", "prevetoed"))),
             sched_policy: String::new(),
             sched_steals: reg.counter(SCHED_STEALS, None),
             sched_queue_depth: reg.gauge(SCHED_QUEUE_DEPTH, None).unwrap_or(0.0) as u64,
@@ -449,7 +435,7 @@ mod tests {
         rec.record_compaction(false);
         rec.record_compaction(true);
         rec.record_merged_inserts(5);
-        rec.record_oracle(3, 1, 10, 2, 4);
+        rec.record_oracle(3, 1, 10, 2);
         let s = rec.snapshot();
         assert_eq!(s.requests, 6);
         assert_eq!(s.repairs, 1);
@@ -461,7 +447,6 @@ mod tests {
         assert_eq!(s.kb_merged_inserts, 5);
         assert_eq!((s.cache_hits, s.cache_misses), (3, 1));
         assert_eq!((s.oracle_executed, s.oracle_cached), (10, 2));
-        assert_eq!(s.oracle_prevetoed, 4);
         assert_eq!(s.analyzes, 1);
         assert!((s.cache_hit_rate() - 0.75).abs() < 1e-12);
         assert_eq!(s.max_ms, 10.0);

@@ -157,10 +157,6 @@ struct Cli {
     measure: Option<rb_obs::analyze::Measure>,
     /// `analyze`: emit JSON instead of the text report.
     json: bool,
-    /// `repair`/`demo`/`batch`: the static repair preflight. `Some` only
-    /// when `--preflight`/`--no-preflight` was passed explicitly; the
-    /// pipeline default is on.
-    preflight: Option<bool>,
 }
 
 /// Where `serve` listens and `client` connects unless `--addr` says
@@ -342,7 +338,6 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
         require: None,
         measure: None,
         json: false,
-        preflight: None,
     };
     let mut it = args.iter().peekable();
     match it.next().map(String::as_str) {
@@ -560,8 +555,6 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
                 );
             }
             "--json" => cli.json = true,
-            "--preflight" => cli.preflight = Some(true),
-            "--no-preflight" => cli.preflight = Some(false),
             "--no-cache" => cli.use_cache = false,
             "--cache-cap" => {
                 let v = it.next().ok_or("--cache-cap needs a value")?;
@@ -634,14 +627,6 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
     }
     if cli.json && !matches!(cli.command, Command::Analyze(_)) {
         return Err("--json only applies to `analyze`".into());
-    }
-    if cli.preflight.is_some()
-        && !matches!(
-            cli.command,
-            Command::Repair(_) | Command::Demo | Command::Batch
-        )
-    {
-        return Err("--preflight/--no-preflight only apply to `repair`, `demo` and `batch`".into());
     }
     if (cli.kb_in.is_some() || cli.kb_out.is_some()) && cli.command != Command::Batch {
         return Err("--kb-in/--kb-out only apply to `batch`".into());
@@ -769,12 +754,6 @@ OPTIONS:
                                              at batch end
   --json                                     analyze: emit the report as one
                                              JSON document instead of text
-  --preflight / --no-preflight               repair/demo/batch: toggle the
-                                             static repair preflight (veto
-                                             provably regressive candidates
-                                             before the oracle) [on]; repair
-                                             trajectories are byte-identical
-                                             either way
   --no-cache                                 bypass the oracle verdict cache
   --cache-cap <N>                            bound the cache to N entries
                                              (rounded up; minimum 16)
@@ -1060,7 +1039,6 @@ fn batch(cli: &Cli) -> ExitCode {
             let mut config = RustBrainConfig::for_model(cli.model, cli.seed);
             config.temperature = cli.temperature;
             config.use_knowledge = cli.use_knowledge;
-            config.preflight = cli.preflight.unwrap_or(true);
             SystemSpec::brain(config)
         }
         BatchSystem::LlmOnly => SystemSpec::Llm {
@@ -1149,10 +1127,9 @@ fn batch(cli: &Cli) -> ExitCode {
         outcome.stats.cache.hit_rate() * 100.0,
     );
     println!(
-        "oracle judgements: {} executed / {} cached / {} prevetoed | knowledge: {} seeded + {} learned - {} coalesced = {} entries | kb query time: {:.0} ms",
+        "oracle judgements: {} executed / {} cached | knowledge: {} seeded + {} learned - {} coalesced = {} entries | kb query time: {:.0} ms",
         outcome.stats.oracle_executed,
         outcome.stats.oracle_cached,
-        outcome.stats.oracle_prevetoed,
         outcome.stats.kb.seeded_entries,
         outcome.stats.kb.merged_inserts,
         outcome.stats.kb.coalesced,
@@ -1672,7 +1649,6 @@ fn repair(src: &str, cli: &Cli) -> ExitCode {
     let mut config = RustBrainConfig::for_model(cli.model, cli.seed);
     config.temperature = cli.temperature;
     config.use_knowledge = cli.use_knowledge;
-    config.preflight = cli.preflight.unwrap_or(true);
     let mut brain = RustBrain::with_oracle(config, oracle);
     let outcome = brain.repair(&program, &cli.reference);
     if let Some(class) = outcome.lint_class {
@@ -1703,12 +1679,6 @@ fn repair(src: &str, cli: &Cli) -> ExitCode {
         outcome.solutions_tried,
         outcome.oracle_runs
     );
-    if outcome.oracle_prevetoed > 0 {
-        println!(
-            "preflight vetoed {} candidate(s) before the oracle",
-            outcome.oracle_prevetoed
-        );
-    }
     if outcome.passed {
         ExitCode::SUCCESS
     } else {
@@ -2048,23 +2018,6 @@ mod tests {
         );
         assert_eq!(cli.addr.as_deref(), Some("127.0.0.1:4700"));
         assert!(parse_cli(&argv("client analyze")).is_err());
-    }
-
-    #[test]
-    fn parses_preflight_flags() {
-        // Unset means the pipeline default (on) at dispatch.
-        assert_eq!(parse_cli(&argv("batch")).unwrap().preflight, None);
-        for cmd in ["repair a.mrs", "demo", "batch"] {
-            let cli = parse_cli(&argv(&format!("{cmd} --no-preflight"))).unwrap();
-            assert_eq!(cli.preflight, Some(false), "{cmd}");
-            let cli = parse_cli(&argv(&format!("{cmd} --preflight"))).unwrap();
-            assert_eq!(cli.preflight, Some(true), "{cmd}");
-        }
-        // Scoped to the commands that run the repair pipeline locally.
-        assert!(parse_cli(&argv("check a.mrs --no-preflight")).is_err());
-        assert!(parse_cli(&argv("analyze a.mrs --preflight")).is_err());
-        assert!(parse_cli(&argv("serve --no-preflight")).is_err());
-        assert!(parse_cli(&argv("client batch --no-preflight")).is_err());
     }
 
     #[test]
