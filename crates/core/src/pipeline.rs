@@ -8,11 +8,10 @@ use crate::fast::FastThinking;
 use crate::features::{extract_features, retrieval_vector, CodeFeatures};
 use crate::feedback::Priors;
 use crate::knowledge::KnowledgeBase;
-use crate::slow::{execute_solution, SolutionOutcome};
+use crate::slow::{execute_solution, SolutionOutcome, StateMemo};
 use crate::solution::Solution;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use rb_lang::vectorize::AstVector;
 use rb_lang::Program;
 use rb_llm::{LanguageModel, ModelCallStats, RepairRule, SimulatedModel};
 use rb_miri::{DirectOracle, MiriReport, Oracle, OracleUse, UbClass};
@@ -54,8 +53,9 @@ pub struct RepairOutcome {
     /// scan cost, covering *all* KB time charged into `overhead_ms`
     /// (consult included), so subtracting it isolates non-KB overhead.
     pub kb_query_time_ms: f64,
-    /// The best program produced.
-    pub final_program: Program,
+    /// The best program produced, shared with the repair's state store
+    /// rather than copied out of it.
+    pub final_program: Arc<Program>,
     /// Concatenated oracle error counts across all attempts.
     pub error_history: Vec<usize>,
     /// Rules applied along the winning path.
@@ -196,13 +196,26 @@ impl RustBrain {
     }
 
     /// Executes one solution — exposed for the RQ1 flexibility experiment.
-    /// `vector` is `program`'s retrieval key when the caller already has it
-    /// (see [`execute_solution`]).
+    /// Each call starts from an empty [`StateMemo`].
     pub fn execute_one(
         &mut self,
         program: &Arc<Program>,
         report: &Arc<MiriReport>,
-        vector: Option<&AstVector>,
+        solution: &Solution,
+        reference: &[String],
+        budget: usize,
+    ) -> SolutionOutcome {
+        let mut memo = StateMemo::default();
+        self.execute_in(&mut memo, program, report, solution, reference, budget)
+    }
+
+    /// [`execute_solution`] with this instance's model, knowledge base and
+    /// policy, deriving state facts into `memo`.
+    fn execute_in(
+        &mut self,
+        memo: &mut StateMemo,
+        program: &Arc<Program>,
+        report: &Arc<MiriReport>,
         solution: &Solution,
         reference: &[String],
         budget: usize,
@@ -213,9 +226,9 @@ impl RustBrain {
             &mut self.model,
             kb,
             self.config.rollback,
+            memo,
             program,
             report,
-            vector,
             solution,
             reference,
             budget,
@@ -235,9 +248,12 @@ impl RustBrain {
     /// byte-identical with or without them.
     pub fn repair(&mut self, program: &Program, reference: &[String]) -> RepairOutcome {
         let mut repair_span = rb_obs::span("repair");
+        // Every program state of the repair is shared: the input is
+        // wrapped once, and each solution start is a reference-count bump.
+        let input = Arc::new(program.clone());
         let mut oracle_use = OracleUse::default();
         // Held as an Arc end to end: a cache-served verdict is shared,
-        // never deep-copied (execute_one and the rollback tracker only
+        // never deep-copied (execute_solution and the rollback tracker only
         // ever borrow it).
         let report: Arc<MiriReport> = self.oracle.judge_recording(program, &mut oracle_use);
         let class = report.primary().map_or(UbClass::Compile, |e| e.class());
@@ -253,13 +269,13 @@ impl RustBrain {
         } else {
             lint.agrees_with(&report)
         };
-        repair_span.tag("lint_agrees", lint_agrees.to_string());
+        repair_span.tag("lint_agrees", lint_agrees);
         rb_obs::metrics().counter_add(
             "rustbrain_triage_total",
             Some(("agrees", if lint_agrees { "true" } else { "false" })),
             1,
         );
-        if report.passes() {
+        let Some(primary) = report.primary() else {
             repair_span.tag("outcome", "already-passing");
             record_repair_metrics(class, 0.0);
             let eval = evaluate_with_report(&report, reference, 0.0);
@@ -273,7 +289,7 @@ impl RustBrain {
                 solutions_tried: 0,
                 kb_queries: 0,
                 kb_query_time_ms: 0.0,
-                final_program: program.clone(),
+                final_program: input,
                 error_history: vec![0],
                 rules_applied: Vec::new(),
                 rollbacks: 0,
@@ -282,14 +298,19 @@ impl RustBrain {
                 lint_class,
                 lint_agrees,
             };
-        }
+        };
 
+        // What slow thinking derives from each program state — printed
+        // source, matching rules, retrieval key — is memoized for the
+        // whole repair.
+        let mut memo = StateMemo::default();
         // Fast thinking is normally two model calls (feature/class
         // extraction and solution generation); when static triage already
         // produced a sound agreeing diagnosis the class prediction is free
-        // and only the generation call's latency is charged.
+        // and only the generation call's latency is charged. Its prompt is
+        // the input state's printed source.
         let profile = self.model.profile().clone();
-        let fast_tokens = rb_llm::tokens::count_tokens(&rb_lang::printer::print_program(program));
+        let fast_tokens = rb_llm::tokens::count_tokens(&memo.facts(&input, primary).source);
         let fast_calls = if lint_agrees { 1.0 } else { 2.0 };
         let fast_cost = fast_calls
             * (profile.latency_base_ms + profile.latency_per_token_ms * fast_tokens as f64);
@@ -301,9 +322,10 @@ impl RustBrain {
             fast_span.tag("triage", if lint_agrees { "static" } else { "model" });
             let features = extract_features(program, &report);
             let solutions = self.solutions_for(&features);
-            fast_span.tag("solutions", solutions.len().to_string());
+            fast_span.tag("solutions", solutions.len());
             (features, solutions)
         };
+        memo.seed_vector(&input, features.vector);
         let mut best: Option<SolutionOutcome> = None;
         let mut total_overhead = fast_cost;
         let mut total_runs = 0usize;
@@ -339,9 +361,7 @@ impl RustBrain {
         // restart-from-initial always re-derives from scratch, and
         // no-rollback continues from wherever the last solution *ended* —
         // letting hallucinated damage compound across the whole process
-        // (the paper's Fig. 5a). Every state is shared: the input is
-        // wrapped once, and each solution start is a reference-count bump.
-        let input = Arc::new(program.clone());
+        // (the paper's Fig. 5a).
         let mut start_state: Option<(Arc<Program>, Arc<MiriReport>)> = None;
         let calls_at_start = self.model.stats().calls;
         for (i, solution) in solutions.iter().enumerate() {
@@ -362,18 +382,17 @@ impl RustBrain {
             };
             let outcome = {
                 let mut solution_span = rb_obs::span("solution");
-                solution_span.tag("index", i.to_string());
-                let vector = Arc::ptr_eq(&start_prog, &input).then_some(&features.vector);
-                let outcome = self.execute_one(
+                solution_span.tag("index", i);
+                let outcome = self.execute_in(
+                    &mut memo,
                     &start_prog,
                     &start_report,
-                    vector,
                     solution,
                     reference,
                     budget,
                 );
                 solution_span.add_sim_ms(outcome.overhead_ms);
-                solution_span.tag("accuracy", outcome.eval.accuracy.to_string());
+                solution_span.tag("accuracy", outcome.eval.accuracy);
                 outcome
             };
             start_state = Some(match self.config.rollback {
@@ -424,13 +443,14 @@ impl RustBrain {
         let best = best.expect("at least one solution attempted");
         if best.eval.accuracy && self.config.use_knowledge {
             if let Some(rule) = best.fixing_rule {
-                self.knowledge.insert(features.vector, class, rule);
+                self.knowledge
+                    .insert(memo.vector(&input).clone(), class, rule);
             }
         }
         let eval: &EvalTriplet = &best.eval;
         repair_span.add_sim_ms(total_overhead);
-        repair_span.tag("passed", eval.accuracy.to_string());
-        repair_span.tag("solutions_tried", tried.to_string());
+        repair_span.tag("passed", eval.accuracy);
+        repair_span.tag("solutions_tried", tried);
         record_repair_metrics(class, total_overhead);
         RepairOutcome {
             passed: eval.accuracy,
@@ -442,7 +462,7 @@ impl RustBrain {
             solutions_tried: tried,
             kb_queries: kb_consults + (self.knowledge.queries() - kb_queries_before),
             kb_query_time_ms: kb_consult_ms + (self.knowledge.query_time_ms() - kb_time_before),
-            final_program: Program::clone(&best.final_program),
+            final_program: Arc::clone(&best.final_program),
             error_history: history,
             rules_applied: best.steps.iter().filter_map(|s| s.rule).collect(),
             rollbacks,

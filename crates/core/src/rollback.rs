@@ -155,9 +155,9 @@ impl RollbackTracker {
             rb_obs::event(
                 "rollback",
                 &[
-                    ("policy", &format!("{:?}", self.policy)),
-                    ("errors_new", &n_new.to_string()),
-                    ("errors_current", &n_cur.to_string()),
+                    ("policy", &format_args!("{:?}", self.policy)),
+                    ("errors_new", &n_new),
+                    ("errors_current", &n_cur),
                 ],
             );
             rb_obs::metrics().counter_add("rustbrain_rollbacks_total", None, 1);

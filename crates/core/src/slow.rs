@@ -13,8 +13,8 @@ use crate::rollback::{RollbackTracker, ThoughtTrace};
 use crate::solution::{AgentKind, Solution};
 use rb_lang::vectorize::AstVector;
 use rb_lang::Program;
-use rb_llm::{LanguageModel, RepairContext, RepairRule};
-use rb_miri::{MiriReport, Oracle, OracleUse};
+use rb_llm::{LanguageModel, RepairContext, RepairRule, StateFacts};
+use rb_miri::{MiriError, MiriReport, Oracle, OracleUse};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -69,25 +69,94 @@ pub struct SolutionOutcome {
     pub end_report: Arc<MiriReport>,
 }
 
+/// What one repair has derived from each program state it visited: the
+/// model's [`StateFacts`] and the state's knowledge-base retrieval key,
+/// each computed the first time a step needs it.
+///
+/// States are keyed by identity ([`Arc::ptr_eq`]): slow thinking shares
+/// every state as an `Arc` from the moment it is observed, so a repeated
+/// state is the same allocation. The memo holds each `Arc`, so no state's
+/// address can be reused by another while the memo lives. A state's
+/// facts are derived for its report's primary error; the oracle is pure,
+/// so every report of one state has the same primary error.
+#[derive(Debug, Default)]
+pub struct StateMemo {
+    states: Vec<MemoEntry>,
+}
+
+#[derive(Debug)]
+struct MemoEntry {
+    program: Arc<Program>,
+    facts: Option<Arc<StateFacts>>,
+    vector: Option<AstVector>,
+}
+
+impl StateMemo {
+    fn entry(&mut self, program: &Arc<Program>) -> &mut MemoEntry {
+        let at = match self
+            .states
+            .iter()
+            .position(|e| Arc::ptr_eq(&e.program, program))
+        {
+            Some(at) => at,
+            None => {
+                self.states.push(MemoEntry {
+                    program: Arc::clone(program),
+                    facts: None,
+                    vector: None,
+                });
+                self.states.len() - 1
+            }
+        };
+        &mut self.states[at]
+    }
+
+    /// The model facts of `program` repaired for `error`, its report's
+    /// primary error (derived on first use).
+    pub fn facts(&mut self, program: &Arc<Program>, error: &MiriError) -> Arc<StateFacts> {
+        let entry = self.entry(program);
+        Arc::clone(
+            entry
+                .facts
+                .get_or_insert_with(|| Arc::new(StateFacts::derive(&entry.program, error))),
+        )
+    }
+
+    /// The knowledge-base retrieval key of `program` (pruned and embedded
+    /// on first use).
+    pub fn vector(&mut self, program: &Arc<Program>) -> &AstVector {
+        let entry = self.entry(program);
+        entry
+            .vector
+            .get_or_insert_with(|| retrieval_vector(&entry.program).0)
+    }
+
+    /// Records `vector` as `program`'s retrieval key, for a caller that
+    /// embedded the state already (the fast stage embeds the input).
+    pub fn seed_vector(&mut self, program: &Arc<Program>, vector: AstVector) {
+        self.entry(program).vector = Some(vector);
+    }
+}
+
 /// Executes one solution against a failing program, verifying every edit
 /// through the injected `oracle`.
 ///
 /// Steps run in order; the solution is cycled (up to three passes) while it
 /// keeps making progress — the paper's "fine-tune solution" refinement.
 ///
-/// Program states are shared through the rollback tracker, never copied.
-/// `vector` is the retrieval key of `program` when the caller already has
-/// it: abstract-reasoning steps taken from that very state then reuse it
-/// instead of pruning and embedding the program again.
+/// Program states are shared through the rollback tracker, never copied,
+/// and whatever a step derives from a state (the model's facts, the
+/// retrieval key) is kept in `memo`, so a later step, solution or
+/// rollback that returns to the state reuses it.
 #[allow(clippy::too_many_arguments)]
 pub fn execute_solution(
     oracle: &dyn Oracle,
     model: &mut dyn LanguageModel,
     mut kb: Option<&mut KnowledgeBase>,
     policy: RollbackPolicy,
+    memo: &mut StateMemo,
     program: &Arc<Program>,
     report: &Arc<MiriReport>,
-    vector: Option<&AstVector>,
     solution: &Solution,
     reference: &[String],
     max_oracle_runs: usize,
@@ -109,7 +178,7 @@ pub fn execute_solution(
                 let (p, r) = tracker.current();
                 (Arc::clone(p), Arc::clone(r))
             };
-            let Some(primary) = cur_report.primary().cloned() else {
+            let Some(primary) = cur_report.primary() else {
                 break 'passes;
             };
             // One span per thinking step; its sim_ms mirrors the step's
@@ -117,19 +186,12 @@ pub fn execute_solution(
             // oracle run), so a step tree reconciles with the solution's
             // overhead. The KB consult charges inside its own child span.
             let mut step_span = rb_obs::span("step");
-            step_span.tag("agent", format!("{agent:?}"));
+            step_span.tag("agent", format_args!("{agent:?}"));
             // Abstract reasoning: retrieve similar solved cases.
             let mut shots = Vec::new();
             if agent == AgentKind::AbstractReasoning {
                 if let Some(kb) = kb.as_deref_mut() {
-                    let embedded;
-                    let key = match vector {
-                        Some(v) if Arc::ptr_eq(&cur_prog, program) => v,
-                        _ => {
-                            embedded = retrieval_vector(&cur_prog).0;
-                            &embedded
-                        }
-                    };
+                    let key = memo.vector(&cur_prog);
                     // The current report's class can differ from the
                     // case's initial class mid-repair (e.g. a bad patch
                     // turning UB into a compile error), so the consult
@@ -145,8 +207,10 @@ pub fn execute_solution(
                     shots = kb.query(key, primary.class(), 2);
                 }
             }
-            let mut ctx = RepairContext::new(&cur_prog, &primary, agent.strategy());
+            let facts = memo.facts(&cur_prog, primary);
+            let mut ctx = RepairContext::new(&cur_prog, primary, agent.strategy());
             ctx.shots = shots;
+            ctx.facts = Some(&facts);
             let shot_count = ctx.shots.len();
             let resp = model.propose(&ctx);
             overhead += resp.latency_ms + STEP_DECOMPOSE_MS;
@@ -154,7 +218,7 @@ pub fn execute_solution(
 
             let mut applied: Option<(RepairRule, Program)> = None;
             for proposal in &resp.proposals {
-                if let Some(mut candidate) = proposal.rule.apply(&cur_prog, &primary) {
+                if let Some(mut candidate) = proposal.rule.apply(&cur_prog, primary) {
                     if resp.drift {
                         if let Some(drifted) = rb_llm::rules::apply_semantic_drift(&candidate) {
                             candidate = drifted;
@@ -178,8 +242,8 @@ pub fn execute_solution(
                         fixing_rule = Some(rule);
                     }
                     tracker.observe(candidate, creport);
-                    step_span.tag("rule", format!("{rule:?}"));
-                    step_span.tag("errors_after", errors_after.to_string());
+                    step_span.tag("rule", format_args!("{rule:?}"));
+                    step_span.tag("errors_after", errors_after);
                     steps.push(StepRecord {
                         agent,
                         rule: Some(rule),
@@ -256,9 +320,9 @@ mod tests {
             &mut model,
             None,
             RollbackPolicy::Adaptive,
+            &mut StateMemo::default(),
             &p,
             &r,
-            None,
             &sol,
             &["3".to_owned()],
             12,
@@ -286,9 +350,9 @@ mod tests {
             &mut model,
             None,
             RollbackPolicy::Adaptive,
+            &mut StateMemo::default(),
             &p,
             &r,
-            None,
             &sol,
             &["3".to_owned()],
             2,
@@ -306,9 +370,9 @@ mod tests {
             &mut model,
             None,
             RollbackPolicy::Adaptive,
+            &mut StateMemo::default(),
             &p,
             &r,
-            None,
             &sol,
             &["3".to_owned()],
             8,
@@ -328,7 +392,7 @@ mod tests {
             RepairRule::RemoveDoubleFree,
         );
         let sol = Solution::new(vec![AgentKind::AbstractReasoning, AgentKind::Modify]);
-        let run = |known: Option<&AstVector>| {
+        let run = |mut memo: StateMemo| {
             let mut kb = seeded.clone();
             let mut model = SimulatedModel::new(ModelId::Gpt4, 0.5, 5);
             let out = execute_solution(
@@ -336,17 +400,19 @@ mod tests {
                 &mut model,
                 Some(&mut kb),
                 RollbackPolicy::Adaptive,
+                &mut memo,
                 &p,
                 &r,
-                known,
                 &sol,
                 &["3".to_owned()],
                 8,
             );
             (out, kb.queries())
         };
-        let (reused, reused_queries) = run(Some(&vector));
-        let (embedded, embedded_queries) = run(None);
+        let mut known = StateMemo::default();
+        known.seed_vector(&p, vector);
+        let (reused, reused_queries) = run(known);
+        let (embedded, embedded_queries) = run(StateMemo::default());
         assert!(
             reused_queries > 0,
             "the abstract-reasoning step never queried"
@@ -356,5 +422,32 @@ mod tests {
         assert_eq!(reused.trace, embedded.trace);
         assert_eq!(reused.final_program, embedded.final_program);
         assert_eq!(reused.overhead_ms, embedded.overhead_ms);
+    }
+
+    #[test]
+    fn memo_shares_facts_per_state_and_derives_new_ones_after_an_edit() {
+        let (p, r) = fixture();
+        let err = r.primary().unwrap();
+        let mut memo = StateMemo::default();
+        let first = memo.facts(&p, err);
+        assert!(Arc::ptr_eq(&first, &memo.facts(&p, err)));
+        assert!(Arc::ptr_eq(&first, &memo.facts(&Arc::clone(&p), err)));
+        assert_eq!(*first, StateFacts::derive(&p, err));
+
+        // An edited state is a new allocation with its own facts, even
+        // before it differs: identity, not content, is the key.
+        let copy = Arc::new(Program::clone(&p));
+        assert!(!Arc::ptr_eq(&first, &memo.facts(&copy, err)));
+        let edited = Arc::new(RepairRule::RemoveDoubleFree.apply(&p, err).unwrap());
+        let edited_facts = memo.facts(&edited, err);
+        assert!(!Arc::ptr_eq(&first, &edited_facts));
+        assert_ne!(first.source, edited_facts.source);
+        // The earlier state's facts survive the new entries.
+        assert!(Arc::ptr_eq(&first, &memo.facts(&p, err)));
+
+        // The retrieval key is memoized the same way.
+        let key = memo.vector(&p).clone();
+        assert_eq!(key, retrieval_vector(&p).0);
+        assert_eq!(memo.vector(&edited), &retrieval_vector(&edited).0);
     }
 }

@@ -16,7 +16,7 @@
 //! compare against.
 
 use crate::cache::{CachedOracle, OracleCache};
-use crate::job::{JobResult, JobSpec};
+use crate::job::{derive_case_seed, JobResult};
 use crate::sched::{CostModel, Dispatcher, SchedPolicy, SchedStats};
 use crate::stats::{EngineStats, KbMergeStats};
 use crate::system::{CaseResult, System, SystemSpec};
@@ -195,47 +195,55 @@ impl Engine {
     /// Executes one job: build the system at the job's derived seed with
     /// the engine's oracle and the shared knowledge snapshot, resolve the
     /// gold reference through the same oracle, repair, and collect the
-    /// job's knowledge delta. The flag is whether the gold-reference
+    /// job's knowledge delta. The job borrows its case and the system
+    /// recipe from the batch. The flag is whether the gold-reference
     /// lookup was a cache hit.
     fn execute(
-        job: &JobSpec,
+        system: &SystemSpec,
+        case: &UbCase,
+        seed: u64,
         oracle: &Arc<dyn Oracle>,
         snapshot: &KnowledgeBase,
     ) -> (CaseResult, OracleUse, bool, Option<KbDelta>) {
-        let mut system = job
-            .system
-            .build_with(job.seed, Arc::clone(oracle), snapshot);
+        let mut system = system.build_with(seed, Arc::clone(oracle), snapshot);
         // The gold-reference lookup goes through judge_counted directly
         // (no OracleUse to record into yet), so it needs its own
         // call-site span — the judge_recording seam never sees it.
         let (reference, gold_hit) = {
             let mut gold_span = rb_obs::span("oracle.gold");
-            let (reference, gold_hit) = oracle.judge_counted(&job.case.gold);
+            let (reference, gold_hit) = oracle.judge_counted(&case.gold);
             gold_span.tag("cached", if gold_hit { "cached" } else { "executed" });
             (reference, gold_hit)
         };
-        let (result, mut oracle_use) =
-            system.repair_case_instrumented(&job.case, &reference.outputs);
+        let (result, mut oracle_use) = system.repair_case_instrumented(case, &reference.outputs);
         oracle_use.record(gold_hit);
         let kb_delta = system.kb_delta(snapshot.len());
         (result, oracle_use, gold_hit, kb_delta)
     }
 
-    /// Runs a prepared job list on the worker pool (every job starting
-    /// from an empty knowledge base) and merges the results back into
-    /// submission order.
+    /// Sweeps a corpus: one job per case, seeds derived from case ids,
+    /// fanned out across the pool, every job starting from an empty
+    /// knowledge base.
     #[must_use]
-    pub fn run_jobs(&self, jobs: &[JobSpec]) -> BatchOutcome {
-        self.run_jobs_with_knowledge(jobs, &KnowledgeBase::new())
+    pub fn run_batch(&self, system: &SystemSpec, cases: &[UbCase], base_seed: u64) -> BatchOutcome {
+        self.run_batch_learned(system, cases, base_seed, &KnowledgeBase::new())
     }
 
-    /// Runs a prepared job list on the worker pool, every job starting
-    /// from the read-only `snapshot`, and merges results and knowledge
-    /// deltas back into submission order.
+    /// Sweeps a corpus with cross-case learning: every job starts from
+    /// the read-only pre-seeded `snapshot`, and the returned
+    /// [`BatchOutcome::knowledge`] carries the deterministic merge of all
+    /// per-job inserts — feed it into the next call to keep accumulating,
+    /// as the paper's sequential self-learning runs do.
+    ///
+    /// Jobs borrow their case and `system` from the caller: nothing is
+    /// copied per job before the workers start, and each worker derives
+    /// its job's seed ([`derive_case_seed`]) itself.
     #[must_use]
-    pub fn run_jobs_with_knowledge(
+    pub fn run_batch_learned(
         &self,
-        jobs: &[JobSpec],
+        system: &SystemSpec,
+        cases: &[UbCase],
+        base_seed: u64,
         snapshot: &KnowledgeBase,
     ) -> BatchOutcome {
         let started = Instant::now();
@@ -244,11 +252,11 @@ impl Engine {
         // derive from case ids and merges restore submission order, so
         // a wrong prediction costs balance, never correctness.
         let cost_table = self.cost_model.effective();
-        let costs: Vec<f64> = jobs
+        let costs: Vec<f64> = cases
             .iter()
-            .map(|j| {
+            .map(|case| {
                 cost_table
-                    .get(&j.case.class)
+                    .get(&case.class)
                     .copied()
                     .unwrap_or(crate::sched::DEFAULT_COST_MS)
             })
@@ -257,7 +265,7 @@ impl Engine {
         let (tx, rx) = mpsc::channel::<JobResult>();
         let oracle = self.shared_oracle();
 
-        let mut executed: Vec<JobResult> = Vec::with_capacity(jobs.len());
+        let mut executed: Vec<JobResult> = Vec::with_capacity(cases.len());
         std::thread::scope(|scope| {
             for worker in 0..self.workers {
                 let tx = tx.clone();
@@ -271,18 +279,19 @@ impl Engine {
                     let _trace_scope = tracer.as_ref().map(rb_obs::trace::scope);
                     for assignment in dispatcher.lane(worker) {
                         let index = assignment.index;
-                        let job = &jobs[index];
+                        let case = &cases[index];
                         let job_started = Instant::now();
                         let mut job_span = rb_obs::span("engine.job");
-                        job_span.tag("case", job.case.id.clone());
-                        job_span.tag("worker", worker.to_string());
-                        job_span.tag("stolen", assignment.stolen.to_string());
+                        job_span.tag("case", &case.id);
+                        job_span.tag("worker", worker);
+                        job_span.tag("stolen", assignment.stolen);
+                        let seed = derive_case_seed(base_seed, &case.id);
                         let (result, oracle_use, cache_hit, kb_delta) =
-                            Engine::execute(job, oracle, snapshot);
+                            Engine::execute(system, case, seed, oracle, snapshot);
                         let wall_s = job_started.elapsed().as_secs_f64();
                         job_span.add_sim_ms(result.overhead_ms);
                         job_span.tag("class", result.class.label());
-                        job_span.tag("passed", result.passed.to_string());
+                        job_span.tag("passed", result.passed);
                         drop(job_span);
                         let m = rb_obs::metrics();
                         m.counter_add("rustbrain_engine_jobs_total", None, 1);
@@ -293,7 +302,7 @@ impl Engine {
                             rb_obs::REAL_US_BUCKETS,
                         );
                         let sent = tx.send(JobResult {
-                            index: job.index,
+                            index,
                             worker,
                             wall_ms: wall_s * 1e3,
                             cache_hit,
@@ -413,35 +422,6 @@ impl Engine {
         }
     }
 
-    /// Sweeps a corpus: one job per case, seeds derived from case ids,
-    /// fanned out across the pool, every job starting from an empty
-    /// knowledge base.
-    #[must_use]
-    pub fn run_batch(&self, system: &SystemSpec, cases: &[UbCase], base_seed: u64) -> BatchOutcome {
-        self.run_batch_learned(system, cases, base_seed, &KnowledgeBase::new())
-    }
-
-    /// Sweeps a corpus with cross-case learning: every job starts from
-    /// the read-only pre-seeded `snapshot`, and the returned
-    /// [`BatchOutcome::knowledge`] carries the deterministic merge of all
-    /// per-job inserts — feed it into the next call to keep accumulating,
-    /// as the paper's sequential self-learning runs do.
-    #[must_use]
-    pub fn run_batch_learned(
-        &self,
-        system: &SystemSpec,
-        cases: &[UbCase],
-        base_seed: u64,
-        snapshot: &KnowledgeBase,
-    ) -> BatchOutcome {
-        let jobs: Vec<JobSpec> = cases
-            .iter()
-            .enumerate()
-            .map(|(i, case)| JobSpec::new(i, case.clone(), system.clone(), base_seed))
-            .collect();
-        self.run_jobs_with_knowledge(&jobs, snapshot)
-    }
-
     /// Sweeps a corpus with *durable* cross-case learning: the knowledge
     /// snapshot is loaded from `kb_in` (empty when `None`), the batch
     /// runs exactly like [`Engine::run_batch_learned`], and the merged
@@ -507,7 +487,7 @@ pub fn run_serial_reference(
     cases
         .iter()
         .map(|case| {
-            let seed = crate::job::derive_case_seed(base_seed, &case.id);
+            let seed = derive_case_seed(base_seed, &case.id);
             let reference = case.gold_outputs();
             system.build(seed).repair_case_with(case, &reference)
         })

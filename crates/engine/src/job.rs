@@ -1,13 +1,12 @@
-//! Job identity: what one unit of engine work is and how its RNG seed is
-//! derived.
+//! Job identity: how one unit of engine work (repairing one borrowed
+//! corpus case) derives its RNG seed, and what it streams back.
 //!
 //! A job's seed is a pure function of the batch's base seed and the case
 //! id — never of the worker that happens to pick it up or the order it is
 //! dequeued in. Combined with per-job system instances, this makes the
 //! merged result stream byte-identical for any worker count.
 
-use crate::system::{CaseResult, SystemSpec};
-use rb_dataset::UbCase;
+use crate::system::CaseResult;
 use rb_miri::OracleUse;
 use rustbrain::KbDelta;
 
@@ -29,34 +28,6 @@ pub fn derive_case_seed(base_seed: u64, case_id: &str) -> u64 {
     h ^= h >> 27;
     h = h.wrapping_mul(0x94d0_49bb_1331_11eb);
     h ^ (h >> 31)
-}
-
-/// One unit of engine work: repair one case with a freshly built system.
-#[derive(Clone, Debug)]
-pub struct JobSpec {
-    /// Position in the submitted batch (merge key).
-    pub index: usize,
-    /// The corpus case to repair.
-    pub case: UbCase,
-    /// Recipe for the system instance that repairs it.
-    pub system: SystemSpec,
-    /// Derived RNG seed (see [`derive_case_seed`]).
-    pub seed: u64,
-}
-
-impl JobSpec {
-    /// Builds the job for `case` at `index` of a batch, deriving its seed
-    /// from `base_seed` and the case id.
-    #[must_use]
-    pub fn new(index: usize, case: UbCase, system: SystemSpec, base_seed: u64) -> JobSpec {
-        let seed = derive_case_seed(base_seed, &case.id);
-        JobSpec {
-            index,
-            case,
-            system,
-            seed,
-        }
-    }
 }
 
 /// One executed job, as streamed back from a worker.

@@ -70,7 +70,7 @@ pub mod system;
 
 pub use cache::{program_key, CacheStats, CachedOracle, OracleCache};
 pub use engine::{run_serial_reference, BatchOutcome, Engine};
-pub use job::{derive_case_seed, JobResult, JobSpec};
+pub use job::{derive_case_seed, JobResult};
 pub use sched::{model_schedule, Assignment, CostModel, ModeledSchedule, SchedPolicy, SchedStats};
 pub use stats::{results_to_json, EngineStats, KbMergeStats};
 pub use system::{CaseResult, System, SystemSpec};

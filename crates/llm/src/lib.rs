@@ -28,5 +28,5 @@ pub mod tokens;
 
 pub use model::{LanguageModel, ModelCallStats, Proposal, SimulatedModel};
 pub use profile::{ModelId, ModelProfile};
-pub use prompt::{FewShot, PromptStrategy, RepairContext};
+pub use prompt::{FewShot, PromptStrategy, RepairContext, StateFacts};
 pub use rules::{RepairRule, RuleKind};

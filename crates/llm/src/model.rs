@@ -10,19 +10,51 @@
 
 use crate::latency::sample_latency_ms;
 use crate::profile::{ModelId, ModelProfile};
-use crate::prompt::RepairContext;
+use crate::prompt::{RepairContext, StateFacts};
 use crate::rules::RepairRule;
 use crate::tokens::count_tokens;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
+use std::fmt;
 use std::hash::{Hash, Hasher};
+
+/// FNV-1a offset basis: the hash state before any byte.
+pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Folds `bytes` into the FNV-1a state `state`.
+pub(crate) fn fnv1a_fold(mut state: u64, bytes: &[u8]) -> u64 {
+    for b in bytes {
+        state ^= u64::from(*b);
+        state = state.wrapping_mul(0x0000_0100_0000_01B3);
+    }
+    state
+}
 
 /// Deterministic hash of a string into `[0, 1)`. Uses an FNV-1a style fold
 /// so the mapping is stable across platforms and compilations.
 fn hash01(text: &str) -> f64 {
     let mut h = Fnv1a::default();
     text.hash(&mut h);
+    (h.finish() % 1_000_000) as f64 / 1_000_000.0
+}
+
+/// [`hash01`] of a string that starts with text whose FNV-1a state is
+/// `prefix` and continues with `rest`: equal to `hash01(&(text + rest))`,
+/// without folding the prefix again or building either string.
+fn hash01_after(prefix: u64, rest: fmt::Arguments<'_>) -> f64 {
+    struct Fold(u64);
+    impl fmt::Write for Fold {
+        fn write_str(&mut self, s: &str) -> fmt::Result {
+            self.0 = fnv1a_fold(self.0, s.as_bytes());
+            Ok(())
+        }
+    }
+    let mut fold = Fold(prefix);
+    fmt::Write::write_fmt(&mut fold, rest).expect("folding never fails");
+    // `str`'s `Hash` ends with a 0xff terminator, written as its own call.
+    let mut h = Fnv1a(fold.0);
+    h.write_u8(0xff);
     (h.finish() % 1_000_000) as f64 / 1_000_000.0
 }
 
@@ -34,16 +66,8 @@ impl Hasher for Fnv1a {
         self.0
     }
     fn write(&mut self, bytes: &[u8]) {
-        let mut state = if self.0 == 0 {
-            0xcbf2_9ce4_8422_2325
-        } else {
-            self.0
-        };
-        for b in bytes {
-            state ^= u64::from(*b);
-            state = state.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        self.0 = state;
+        let state = if self.0 == 0 { FNV_OFFSET } else { self.0 };
+        self.0 = fnv1a_fold(state, bytes);
     }
 }
 
@@ -144,10 +168,25 @@ impl LanguageModel for SimulatedModel {
     }
 
     fn propose(&mut self, ctx: &RepairContext<'_>) -> ModelResponse {
-        // The program is printed once: it is both the prompt's code block
-        // and the key of the model's stable per-problem draws.
-        let src = rb_lang::printer::print_program(ctx.program);
-        let prompt = ctx.render_with_source(&src);
+        // The state's facts — its printed source (the prompt's code block
+        // and the key of the model's stable per-problem draws) and its
+        // matching rules — come from the caller when it shares them.
+        let derived;
+        let facts = match ctx.facts {
+            Some(facts) => {
+                debug_assert_eq!(
+                    facts.source,
+                    rb_lang::printer::print_program(ctx.program),
+                    "shared facts belong to another program state"
+                );
+                facts
+            }
+            None => {
+                derived = StateFacts::derive(ctx.program, ctx.error);
+                &derived
+            }
+        };
+        let prompt = ctx.render_with_source(&facts.source);
         let tokens = count_tokens(&prompt);
         let latency = sample_latency_ms(
             &mut self.rng,
@@ -186,7 +225,10 @@ impl LanguageModel for SimulatedModel {
         // This is the premise behind RustBrain's design: diverse solutions
         // and the knowledge base attack exactly these two gates.
         let problem_skill = ((class_skill * 1.25).min(0.97) + 0.35 * best_shot).min(0.985);
-        let u_problem = hash01(&format!("{src}|{:?}|problem", self.profile.id));
+        let u_problem = hash01_after(
+            facts.source_hash,
+            format_args!("|{:?}|problem", self.profile.id),
+        );
         let targeted_bonus = if ctx.strategy.target_kind().is_some() {
             0.10
         } else {
@@ -195,11 +237,10 @@ impl LanguageModel for SimulatedModel {
         let prompt_skill = 0.75 + targeted_bonus + (self.rng.gen::<f64>() - 0.5) * 0.12;
         let u_prompt = hash01(&prompt);
         let understands = u_problem <= problem_skill && u_prompt <= prompt_skill;
-        let candidates = RepairRule::candidates(ctx.program, ctx.error);
-
-        let mut proposals: Vec<Proposal> = candidates
-            .into_iter()
-            .map(|rule| {
+        let mut proposals: Vec<Proposal> = facts
+            .candidates
+            .iter()
+            .map(|&rule| {
                 let mut score = class_skill * self.profile.kind_preference(rule.kind());
                 // A skilled model recognises the rule whose home turf is
                 // exactly this diagnostic.
@@ -287,7 +328,10 @@ impl LanguageModel for SimulatedModel {
         let weakness = (1.0 / self.profile.class_multiplier(class)).clamp(1.0, 3.0);
         let drift_p =
             (1.0 - self.profile.semantic_skill) * 0.6 * weakness / (1.0 + ctx.shots.len() as f64);
-        let drift = hash01(&format!("{src}|{:?}|drift", self.profile.id)) < drift_p;
+        let drift = hash01_after(
+            facts.source_hash,
+            format_args!("|{:?}|drift", self.profile.id),
+        ) < drift_p;
         ModelResponse {
             proposals,
             truncated,
@@ -306,8 +350,77 @@ impl LanguageModel for SimulatedModel {
 mod tests {
     use super::*;
     use crate::prompt::{FewShot, PromptStrategy};
+    use rb_dataset::Corpus;
     use rb_lang::parser::parse_program;
+    use rb_lang::printer::print_program;
     use rb_miri::run_program;
+
+    #[test]
+    fn hash_continuation_matches_hashing_the_whole_key() {
+        for seed in 0..3 {
+            for case in &Corpus::generate_full(seed, 5).cases {
+                for program in [&case.buggy, &case.gold] {
+                    let src = print_program(program);
+                    let prefix = fnv1a_fold(FNV_OFFSET, src.as_bytes());
+                    for id in ModelId::ALL {
+                        assert_eq!(
+                            hash01_after(prefix, format_args!("|{id:?}|problem")),
+                            hash01(&format!("{src}|{id:?}|problem")),
+                            "{} under {id:?}",
+                            case.id
+                        );
+                        assert_eq!(
+                            hash01_after(prefix, format_args!("|{id:?}|drift")),
+                            hash01(&format!("{src}|{id:?}|drift")),
+                            "{} under {id:?}",
+                            case.id
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn shared_facts_change_neither_the_response_nor_the_rng() {
+        const STRATEGIES: [PromptStrategy; 4] = [
+            PromptStrategy::SafeReplace,
+            PromptStrategy::Assert,
+            PromptStrategy::Modify,
+            PromptStrategy::Freeform,
+        ];
+        let mut shared = SimulatedModel::new(ModelId::Gpt4, 0.7, 9);
+        let mut derived = shared.clone();
+        let mut compared = 0;
+        for case in &Corpus::generate_full(1, 5).cases {
+            let report = run_program(&case.buggy);
+            let err = report.primary().expect("buggy corpus programs fail");
+            let facts = StateFacts::derive(&case.buggy, err);
+            let shot = FewShot {
+                rule: facts
+                    .candidates
+                    .first()
+                    .copied()
+                    .unwrap_or(RepairRule::GuardDivision),
+                similarity: 0.9,
+            };
+            for strategy in STRATEGIES {
+                for with_shot in [false, true] {
+                    let mut ctx = RepairContext::new(&case.buggy, err, strategy);
+                    if with_shot {
+                        ctx.shots.push(shot.clone());
+                    }
+                    let plain = derived.propose(&ctx);
+                    ctx.facts = Some(&facts);
+                    assert_eq!(shared.propose(&ctx), plain, "{} {strategy:?}", case.id);
+                    assert_eq!(shared.rng, derived.rng, "{} {strategy:?}", case.id);
+                    compared += 1;
+                }
+            }
+        }
+        assert_eq!(shared.stats(), derived.stats());
+        assert!(compared >= 14 * 5 * 8, "only {compared} comparisons");
+    }
 
     fn double_free_fixture() -> (rb_lang::Program, rb_miri::MiriError) {
         let p = parse_program(

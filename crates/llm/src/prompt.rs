@@ -2,6 +2,7 @@
 //! Fig. 4, the repair context handed to a model, and knowledge-base
 //! few-shots.
 
+use crate::model::{fnv1a_fold, FNV_OFFSET};
 use crate::rules::{RepairRule, RuleKind};
 use rb_lang::printer::print_program;
 use rb_lang::Program;
@@ -60,6 +61,38 @@ pub struct FewShot {
     pub similarity: f64,
 }
 
+/// What a model call derives from the program state alone, whatever the
+/// strategy or shots: the printed source (the prompt's code block), the
+/// FNV-1a state after the source bytes (the prefix of the model's stable
+/// per-problem draws) and the matching repair rules.
+///
+/// A caller that prompts the same state several times derives these once
+/// and shares them through [`RepairContext::facts`].
+#[derive(Clone, Debug, PartialEq)]
+pub struct StateFacts {
+    /// `print_program` of the state.
+    pub source: String,
+    /// FNV-1a state after folding `source`'s bytes from the offset basis.
+    pub source_hash: u64,
+    /// [`RepairRule::candidates`] of the state and its primary error.
+    pub candidates: Vec<RepairRule>,
+}
+
+impl StateFacts {
+    /// Derives the facts of `program` repaired for `error`: one print, one
+    /// FNV pass over the source, and one run of the rule matchers.
+    #[must_use]
+    pub fn derive(program: &Program, error: &MiriError) -> StateFacts {
+        let source = print_program(program);
+        let source_hash = fnv1a_fold(FNV_OFFSET, source.as_bytes());
+        StateFacts {
+            source,
+            source_hash,
+            candidates: RepairRule::candidates(program, error),
+        }
+    }
+}
+
 /// Everything a model sees for one repair request.
 #[derive(Clone, Debug)]
 pub struct RepairContext<'p> {
@@ -71,10 +104,14 @@ pub struct RepairContext<'p> {
     pub strategy: PromptStrategy,
     /// Retrieved knowledge examples.
     pub shots: Vec<FewShot>,
+    /// The state's derived facts when the caller already has them; they
+    /// must be `StateFacts::derive(program, error)`. `None` makes the
+    /// model derive them itself.
+    pub facts: Option<&'p StateFacts>,
 }
 
 impl<'p> RepairContext<'p> {
-    /// Builds a context with no shots.
+    /// Builds a context with no shots and no shared facts.
     #[must_use]
     pub fn new(program: &'p Program, error: &'p MiriError, strategy: PromptStrategy) -> Self {
         RepairContext {
@@ -82,6 +119,7 @@ impl<'p> RepairContext<'p> {
             error,
             strategy,
             shots: Vec::new(),
+            facts: None,
         }
     }
 

@@ -25,6 +25,7 @@
 //!   overhead exactly.
 //! - `tags`: free-form string key/values ([`Span::tag`]).
 
+use std::fmt::Display;
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::Path;
@@ -247,10 +248,12 @@ pub fn span(name: &'static str) -> Span {
 
 /// Emits a zero-duration event record (a span opened and closed in
 /// place) — used for point-in-time occurrences like a rollback decision.
-pub fn event(name: &'static str, tags: &[(&'static str, &str)]) {
+/// Like [`Span::tag`], the values render only when a tracer is
+/// installed.
+pub fn event(name: &'static str, tags: &[(&'static str, &dyn Display)]) {
     let mut s = span(name);
     for (k, v) in tags {
-        s.tag(k, (*v).to_owned());
+        s.tag(k, v);
     }
     drop(s);
 }
@@ -263,10 +266,13 @@ impl Span {
         self.inner.is_some()
     }
 
-    /// Attaches a string tag; later values for the same key win.
-    pub fn tag(&mut self, key: &'static str, value: impl Into<String>) {
+    /// Attaches a tag, rendered with `Display`; later values for the
+    /// same key win. The value renders only when the span is active, so
+    /// callers pass values (or `format_args!`) rather than strings they
+    /// built themselves, and an inert span formats nothing.
+    pub fn tag(&mut self, key: &'static str, value: impl Display) {
         if let Some(inner) = &mut self.inner {
-            let value = value.into();
+            let value = value.to_string();
             if let Some(slot) = inner.tags.iter_mut().find(|(k, _)| *k == key) {
                 slot.1 = value;
             } else {
@@ -423,7 +429,7 @@ mod tests {
     fn events_and_escaping() {
         let tracer = Tracer::in_memory();
         let _g = scope(&tracer);
-        event("rollback", &[("note", "say \"hi\"\n")]);
+        event("rollback", &[("note", &"say \"hi\"\n"), ("n", &3)]);
         let lines = tracer.lines();
         assert_eq!(lines.len(), 1);
         assert!(
@@ -431,6 +437,36 @@ mod tests {
             "{}",
             lines[0]
         );
+        assert!(lines[0].contains(r#""n":"3""#), "{}", lines[0]);
+    }
+
+    /// Counts how often it is rendered.
+    struct Counted<'a>(&'a std::cell::Cell<usize>);
+
+    impl Display for Counted<'_> {
+        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+            self.0.set(self.0.get() + 1);
+            f.write_str("v")
+        }
+    }
+
+    #[test]
+    fn tag_values_render_only_under_a_tracer() {
+        let renders = std::cell::Cell::new(0);
+        let mut inert = span("orphan");
+        inert.tag("k", Counted(&renders));
+        event("orphan_event", &[("k", &Counted(&renders))]);
+        drop(inert);
+        assert_eq!(renders.get(), 0, "an inert span formatted its tags");
+
+        let tracer = Tracer::in_memory();
+        let _g = scope(&tracer);
+        let mut live = span("live");
+        live.tag("k", Counted(&renders));
+        live.tag("fmt", format_args!("{:?}", Some(2)));
+        drop(live);
+        assert_eq!(renders.get(), 1);
+        assert!(tracer.lines()[0].contains(r#""fmt":"Some(2)""#));
     }
 
     #[test]
