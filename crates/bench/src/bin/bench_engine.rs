@@ -1,6 +1,6 @@
 //! Engine throughput benchmark: times a full-corpus RustBrain sweep at 1
 //! worker and at N workers on a *pre-warmed* shared oracle cache (so the
-//! series isolates scheduling from caching), checks the two result
+//! series isolates the worker pool from caching), checks the two result
 //! streams are byte-identical, and writes the numbers to
 //! `BENCH_engine.json` — the engine's perf trajectory across PRs. Since
 //! PR 3 the file also carries per-UbClass throughput and the
@@ -13,51 +13,42 @@
 //! before/after the merge policy's coalescing (versus the unbounded
 //! append-only alternative).
 //!
-//! Since PR 7 the file flags `speedup_degraded` when the requested
-//! worker count exceeds the machine's cores (the speedup number is then
-//! a fact about the host, not the scheduler — CI skips its speedup gate
-//! on that flag), and `--trace-out` writes a structured JSONL span
+//! The file flags `speedup_degraded` when the host cannot run `--jobs`
+//! workers at once: a spin probe on `--jobs` threads measures the
+//! host's parallelism (recorded as `measured_parallelism`), and a
+//! reading below 0.9 × jobs makes the wall speedup a fact about the
+//! host, not the engine — CI skips its speedup gates on that flag.
+//! `modeled_speedup` replays the serial sweep's measured per-job wall
+//! times through the engine's dispatch rule on a virtual clock
+//! (`model_schedule`), the honest N-worker figure when the host lacks a
+//! core per worker. `--repeat N` amplifies the corpus (N clones of the
+//! 42 templates with varied case ids/sizes) so the signal beats
+//! wall-clock noise, and `--trace-out` writes a structured JSONL span
 //! trace of the timed parallel sweep.
 //!
-//! Since PR 8 the bench compares the engine's scheduling policies (FIFO
-//! baseline, cost-ordered LPT, work-stealing) on the same warm cache:
-//! the `sched.policies` rows carry each policy's measured wall speedup
-//! *and* a `modeled_speedup` — a deterministic virtual-clock replay of
-//! the policy's dispatch over the serial sweep's measured per-job wall
-//! times, which is the honest scheduler comparison when the host lacks a
-//! core per worker. `sched.cost_model` reports predicted vs observed
-//! per-class milliseconds, `--repeat N` amplifies the corpus (N clones
-//! of the 42 templates with varied case ids/sizes) so the signal beats
-//! wall-clock noise, and `--cost-table PATH` seeds the cost model from a
-//! persisted table and rewrites it from this run's observations.
-//!
-//! Since PR 9 a traced run re-reads its own flushed trace through
-//! `rb_obs::analyze` and writes a `critical_path` section: the
-//! per-worker lane bound on achievable speedup, printed and gated next
-//! to `model_schedule`'s modeled stealing speedup (the two independent
-//! estimates must agree within 10% when the host has a core per
-//! worker). Every run also appends one compact row — date, corpus
-//! size, policy, speedup, hit rate — to `BENCH_history.jsonl` beside
-//! the output file, so the perf trajectory accumulates across PRs
-//! without diffing full BENCH files.
+//! A traced run re-reads its own flushed trace and writes a
+//! `critical_path` section: the per-worker lane bound on achievable
+//! speedup next to the modeled speedup of the same wall durations
+//! (`rb_engine::PlacementCheck`; the two must agree within 10% when the
+//! host has a core per worker). Every run also appends one compact row —
+//! date, corpus size, speedup, measured parallelism, hit rate — to
+//! `BENCH_history.jsonl` beside the output file, so the perf trajectory
+//! accumulates across PRs without diffing full BENCH files.
 //!
 //! ```text
 //! USAGE: bench_engine [--jobs N] [--per-class N] [--repeat N]
 //!                     [--out PATH] [--trace-out PATH]
-//!                     [--cost-table PATH]
 //! ```
 
 use rb_bench::overall_rates;
 use rb_dataset::Corpus;
-use rb_engine::{
-    model_schedule, BatchOutcome, CostModel, Engine, OracleCache, SchedPolicy, SystemSpec,
-};
+use rb_engine::{model_schedule, BatchOutcome, Engine, OracleCache, PlacementCheck, SystemSpec};
 use rb_llm::ModelId;
 use rb_miri::UbClass;
 use rustbrain::{KnowledgeBase, MergePolicy, RustBrainConfig};
-use std::collections::BTreeMap;
 use std::process::ExitCode;
 use std::sync::Arc;
+use std::time::Instant;
 
 struct Args {
     jobs: usize,
@@ -65,7 +56,6 @@ struct Args {
     repeat: usize,
     out: String,
     trace_out: Option<String>,
-    cost_table: Option<String>,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -75,7 +65,6 @@ fn parse_args() -> Result<Args, String> {
         repeat: 1,
         out: "BENCH_engine.json".to_owned(),
         trace_out: None,
-        cost_table: None,
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -94,7 +83,6 @@ fn parse_args() -> Result<Args, String> {
             }
             "--out" => args.out = value("--out")?,
             "--trace-out" => args.trace_out = Some(value("--trace-out")?),
-            "--cost-table" => args.cost_table = Some(value("--cost-table")?),
             other => return Err(format!("unknown flag `{other}`")),
         }
     }
@@ -106,16 +94,12 @@ fn parse_args() -> Result<Args, String> {
 
 fn sweep(
     workers: usize,
-    policy: SchedPolicy,
-    model: &CostModel,
     cache: &Arc<OracleCache>,
     spec: &SystemSpec,
     corpus: &Corpus,
     tracer: Option<&rb_obs::Tracer>,
 ) -> BatchOutcome {
-    let mut engine = Engine::with_cache(workers, Arc::clone(cache))
-        .with_policy(policy)
-        .with_cost_model(model.clone());
+    let mut engine = Engine::with_cache(workers, Arc::clone(cache));
     if let Some(tracer) = tracer {
         engine = engine.with_tracer(tracer.clone());
     }
@@ -278,44 +262,25 @@ fn utc_date() -> String {
     format!("{y:04}-{m:02}-{d:02}")
 }
 
-/// The trace-side critical path of the stealing sweep: re-reads the
-/// flushed trace through the analysis layer and bounds the achievable
-/// speedup from the per-worker lanes. The consistency comparison is
-/// apples-to-apples with `rustbrain trace critical-path`: the modeled
-/// side replays the trace's own *simulated* per-job charges (which are
-/// deterministic) through the virtual clock, so the only noise in the
-/// divergence is the live dispatcher's placement, not host wall-time
-/// jitter. Returns the JSON section, a console line, the sim-side
-/// speedup bound, and whether the bound agrees with the modeled speedup
-/// within 10% (the CI consistency gate when the host isn't
-/// oversubscribed).
-fn critical_path_json(trace_path: &str) -> Result<(String, String, f64, bool), String> {
+/// The trace-side critical path of the parallel sweep: re-reads the
+/// flushed trace and checks its per-worker lanes against the dispatch
+/// rule's virtual-clock replay of the same wall durations
+/// ([`PlacementCheck`], the check `rustbrain trace critical-path`
+/// prints). Returns the JSON section (its `bound_matches_model` is the
+/// CI consistency gate when the host isn't oversubscribed), a console
+/// line, and the sim-side speedup bound for the history row.
+fn critical_path_json(trace_path: &str) -> Result<(String, String, f64), String> {
     let spans = rb_obs::analyze::read_file(std::path::Path::new(trace_path))
         .map_err(|e| format!("trace {trace_path}: {e}"))?;
     let tree =
         rb_obs::analyze::SpanTree::build(spans).map_err(|e| format!("trace {trace_path}: {e}"))?;
-    let cp = rb_obs::analyze::critical_path(&tree);
-    if cp.lanes.is_empty() {
-        return Err(format!("trace {trace_path}: no engine.job spans"));
-    }
-    let sims: Vec<f64> = tree
-        .spans()
-        .iter()
-        .filter(|s| s.name == "engine.job")
-        .map(|s| s.sim_ms)
-        .collect();
-    let modeled_speedup =
-        model_schedule(SchedPolicy::Stealing, &sims, &sims, cp.lanes.len()).speedup();
-    let bound = cp.speedup_bound_sim();
-    let divergence = if modeled_speedup > 0.0 {
-        (bound - modeled_speedup).abs() / modeled_speedup
-    } else {
-        0.0
-    };
-    let within = divergence <= 0.10;
+    let check = PlacementCheck::from_trace(&tree)
+        .ok_or_else(|| format!("trace {trace_path}: no engine.job spans"))?;
+    let cp = &check.critical_path;
+    let within = check.agrees();
     let json = format!(
         concat!(
-            "{{\"lanes\":{},\"jobs\":{},\"stolen\":{},",
+            "{{\"lanes\":{},\"jobs\":{},",
             "\"total_sim_ms\":{:.4},\"busiest_lane_sim_ms\":{:.4},",
             "\"speedup_bound_sim\":{:.4},\"speedup_bound_wall\":{:.4},",
             "\"modeled_speedup\":{:.4},\"divergence\":{:.4},",
@@ -323,111 +288,67 @@ fn critical_path_json(trace_path: &str) -> Result<(String, String, f64, bool), S
         ),
         cp.lanes.len(),
         cp.jobs,
-        cp.stolen,
         cp.total_sim_ms,
         cp.critical_sim_ms,
-        bound,
-        cp.speedup_bound_wall(),
-        modeled_speedup,
-        divergence,
+        cp.speedup_bound_sim(),
+        check.bound(),
+        check.modeled_speedup,
+        check.divergence,
         within,
     );
     let line = format!(
-        "critical path: {} lanes | bound {:.2}x (sim) {:.2}x (wall) | modeled {:.2}x | {}",
+        "critical path: {} lanes | bound {:.2}x (wall) {:.2}x (sim) | modeled {:.2}x (wall) | {}",
         cp.lanes.len(),
-        bound,
-        cp.speedup_bound_wall(),
-        modeled_speedup,
+        check.bound(),
+        cp.speedup_bound_sim(),
+        check.modeled_speedup,
         if within {
             "agrees within 10%".to_owned()
         } else {
-            format!("diverges {:.0}%", divergence * 100.0)
+            format!("diverges {:.0}%", check.divergence * 100.0)
         },
     );
-    Ok((json, line, bound, within))
+    Ok((json, line, cp.speedup_bound_sim()))
 }
 
-/// Per-class mean *measured* wall milliseconds of a sweep's jobs.
-fn observed_class_ms(outcome: &BatchOutcome) -> BTreeMap<UbClass, f64> {
-    let mut sums: BTreeMap<UbClass, (f64, usize)> = BTreeMap::new();
-    for j in &outcome.jobs {
-        let entry = sums.entry(j.result.class).or_insert((0.0, 0));
-        entry.0 += j.wall_ms;
-        entry.1 += 1;
+/// One unit of probe work: a dependent integer loop the optimizer
+/// cannot fold away.
+fn spin(iterations: u64) -> u64 {
+    let mut x = std::hint::black_box(0x9e37_79b9_7f4a_7c15u64);
+    for i in 0..iterations {
+        x = x.rotate_left(7) ^ i.wrapping_mul(0x0000_0100_0000_01b3);
     }
-    sums.into_iter()
-        .map(|(class, (sum, n))| (class, sum / n as f64))
-        .collect()
+    std::hint::black_box(x)
 }
 
-/// One measured policy run plus its virtual-clock replay.
-struct PolicyRun {
-    policy: SchedPolicy,
-    outcome: BatchOutcome,
-    modeled_speedup: f64,
-    modeled_steals: u64,
-}
-
-/// The `sched.policies` rows: measured wall speedup vs the serial sweep
-/// alongside the modeled (virtual-clock) speedup, per policy.
-fn policy_rows_json(runs: &[PolicyRun], serial_wall_ms: f64) -> String {
-    let rows: Vec<String> = runs
-        .iter()
-        .map(|run| {
-            let s = &run.outcome.stats;
-            let wall_speedup = if s.wall_ms > 0.0 {
-                serial_wall_ms / s.wall_ms
-            } else {
-                0.0
-            };
-            format!(
-                concat!(
-                    "{{\"policy\":\"{}\",\"wall_ms\":{:.4},\"speedup\":{:.4},",
-                    "\"modeled_speedup\":{:.4},\"modeled_steals\":{},",
-                    "\"steals\":{},\"max_queue_depth\":{},\"imbalance\":{}}}"
-                ),
-                run.policy.label(),
-                s.wall_ms,
-                wall_speedup,
-                run.modeled_speedup,
-                run.modeled_steals,
-                s.sched.steals,
-                s.sched.max_queue_depth,
-                s.imbalance
-                    .map_or_else(|| "null".to_owned(), |r| format!("{r:.4}")),
-            )
+/// Measured parallelism of the host for `jobs` workers: the wall speedup
+/// of running the spin loop once on each of `jobs` threads at once over
+/// running it `jobs` times on one thread. `jobs` free cores give about
+/// `jobs`; fewer give less, whatever `available_parallelism` claims.
+/// Starts at most `jobs` threads (the caller's included). The median of
+/// three trials, clamped to `(0, jobs]`.
+fn measured_parallelism(jobs: usize) -> f64 {
+    const ITERATIONS: u64 = 20_000_000;
+    let mut trials: Vec<f64> = (0..3)
+        .map(|_| {
+            let start = Instant::now();
+            for _ in 0..jobs {
+                spin(ITERATIONS);
+            }
+            let serial = start.elapsed().as_secs_f64();
+            let start = Instant::now();
+            std::thread::scope(|s| {
+                for _ in 1..jobs {
+                    s.spawn(|| spin(ITERATIONS));
+                }
+                spin(ITERATIONS);
+            });
+            let parallel = start.elapsed().as_secs_f64();
+            serial / parallel.max(f64::MIN_POSITIVE)
         })
         .collect();
-    format!("[{}]", rows.join(",\n  "))
-}
-
-/// The `sched.cost_model` rows: what the dispatch predicted per class vs
-/// what the serial sweep measured (scheduling-independent ground truth).
-fn cost_model_rows_json(
-    predicted: &BTreeMap<UbClass, f64>,
-    observed: &BTreeMap<UbClass, f64>,
-) -> String {
-    let rows: Vec<String> = observed
-        .iter()
-        .map(|(class, &obs_ms)| {
-            let pred_ms = predicted
-                .get(class)
-                .copied()
-                .unwrap_or(rb_engine::sched::DEFAULT_COST_MS);
-            let ratio = if obs_ms > 0.0 { pred_ms / obs_ms } else { 0.0 };
-            format!(
-                concat!(
-                    "{{\"class\":\"{}\",\"predicted_ms\":{:.4},",
-                    "\"observed_ms\":{:.4},\"ratio\":{:.4}}}"
-                ),
-                class.label(),
-                pred_ms,
-                obs_ms,
-                ratio,
-            )
-        })
-        .collect();
-    format!("[{}]", rows.join(",\n  "))
+    trials.sort_by(f64::total_cmp);
+    trials[1].clamp(f64::MIN_POSITIVE, jobs as f64)
 }
 
 fn main() -> ExitCode {
@@ -439,27 +360,14 @@ fn main() -> ExitCode {
         }
     };
     let cores = std::thread::available_parallelism().map_or(1, usize::from);
+    // Probe before any sweep, so the engine's own threads cannot skew it.
+    let measured = measured_parallelism(args.jobs);
     // --repeat amplifies the corpus: the generator cycles each class's
     // template families with seed-derived size/id variation, so N
     // repeats yield N× structurally distinct cases per class.
     let corpus = Corpus::generate_full(42, args.per_class * args.repeat);
     let spec = SystemSpec::brain(RustBrainConfig::for_model(ModelId::Gpt4, 0));
     let cache = Arc::new(OracleCache::new());
-
-    // The cost model: persisted table if given and present, static
-    // defaults otherwise; either way the warmup sweep below fills the
-    // wall-time histograms the live refinement reads.
-    let table_path = args.cost_table.as_ref().map(std::path::PathBuf::from);
-    let mut cost_model = match &table_path {
-        Some(path) if path.exists() => match CostModel::load(path) {
-            Ok(model) => model,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::from(2);
-            }
-        },
-        _ => CostModel::defaults(),
-    };
 
     let tracer = match &args.trace_out {
         Some(path) => match rb_obs::Tracer::to_file(std::path::Path::new(path)) {
@@ -472,100 +380,32 @@ fn main() -> ExitCode {
         None => None,
     };
 
-    // Warm-up sweep (untimed): populates the oracle cache so all timed
-    // sweeps run under identical, fully-warm cache conditions — and
-    // fills the per-class wall-time histograms the cost model's live
-    // refinement learns from.
-    let warmup = sweep(
-        args.jobs,
-        SchedPolicy::Stealing,
-        &cost_model,
-        &cache,
-        &spec,
-        &corpus,
-        None,
-    );
-
-    // The serial reference is FIFO by construction (one worker drains
-    // in submission order); it doubles as the ground truth for per-job
-    // durations and per-class observed costs.
-    let serial = sweep(
-        1,
-        SchedPolicy::Fifo,
-        &cost_model,
-        &cache,
-        &spec,
-        &corpus,
-        None,
-    );
-
-    // One timed parallel sweep per policy, all on the same warm cache.
-    // Only the stealing sweep (the headline) is traced — spans on the
-    // others would skew exactly the comparison the bench exists for.
-    let predicted_table = cost_model.effective();
-    let durations: Vec<f64> = serial.jobs.iter().map(|j| j.wall_ms).collect();
-    let predicted_per_job: Vec<f64> = serial
-        .jobs
-        .iter()
-        .map(|j| {
-            predicted_table
-                .get(&j.result.class)
-                .copied()
-                .unwrap_or(rb_engine::sched::DEFAULT_COST_MS)
-        })
-        .collect();
-    let mut runs: Vec<PolicyRun> = Vec::new();
-    let mut identical = warmup.results == serial.results;
-    for policy in SchedPolicy::ALL {
-        let traced = if policy == SchedPolicy::Stealing {
-            tracer.as_ref()
-        } else {
-            None
-        };
-        let outcome = sweep(
-            args.jobs,
-            policy,
-            &cost_model,
-            &cache,
-            &spec,
-            &corpus,
-            traced,
-        );
-        identical = identical && outcome.results == serial.results;
-        let modeled = model_schedule(policy, &predicted_per_job, &durations, args.jobs);
-        runs.push(PolicyRun {
-            policy,
-            outcome,
-            modeled_speedup: modeled.speedup(),
-            modeled_steals: modeled.steals,
-        });
-    }
+    // Warm-up sweep (untimed): populates the oracle cache so both timed
+    // sweeps run under identical, fully-warm cache conditions.
+    let warmup = sweep(args.jobs, &cache, &spec, &corpus, None);
+    // The serial reference doubles as the ground truth for per-job
+    // durations; only the parallel sweep is traced.
+    let serial = sweep(1, &cache, &spec, &corpus, None);
+    let parallel = sweep(args.jobs, &cache, &spec, &corpus, tracer.as_ref());
     if let Some(tracer) = &tracer {
         tracer.flush();
     }
-    let parallel = &runs
-        .iter()
-        .find(|r| r.policy == SchedPolicy::Stealing)
-        .expect("stealing run present")
-        .outcome;
+    let identical = warmup.results == serial.results && parallel.results == serial.results;
 
-    // An honest speedup needs a core per worker: oversubscribed runs
-    // time-slice, and the ratio stops measuring the scheduler (the
-    // modeled_speedup rows carry the virtual-clock comparison instead).
-    let speedup_degraded = args.jobs > cores;
-
+    // An honest speedup needs a core per worker: below 0.9 × jobs of
+    // measured parallelism the workers time-slice, and the ratio stops
+    // measuring the engine (modeled_speedup carries the N-worker figure).
+    let speedup_degraded = measured < 0.9 * args.jobs as f64;
     let speedup = if parallel.stats.wall_ms > 0.0 {
         serial.stats.wall_ms / parallel.stats.wall_ms
     } else {
         0.0
     };
-    let modeled_speedup = runs
-        .iter()
-        .find(|r| r.policy == SchedPolicy::Stealing)
-        .map_or(0.0, |r| r.modeled_speedup);
-    // The trace-side view of the same stealing sweep: lanes read back
+    let durations: Vec<f64> = serial.jobs.iter().map(|j| j.wall_ms).collect();
+    let modeled_speedup = model_schedule(&durations, args.jobs).speedup();
+    // The trace-side view of the same parallel sweep: lanes read back
     // from the flushed spans must bound speedup consistently with the
-    // virtual-clock model fed the same batch.
+    // virtual-clock model fed the same wall durations.
     let critical_path = match args.trace_out.as_deref() {
         Some(path) => match critical_path_json(path) {
             Ok(cp) => Some(cp),
@@ -576,25 +416,14 @@ fn main() -> ExitCode {
         },
         None => None,
     };
-    let observed = observed_class_ms(&serial);
-    // Persist what this run learned: blend the serial sweep's per-class
-    // means into the table and rewrite it for the next run.
-    if let Some(path) = &table_path {
-        for (&class, &ms) in &observed {
-            cost_model.observe(class, ms);
-        }
-        if let Err(e) = cost_model.save(path) {
-            eprintln!("error: cannot write cost table {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-    }
     let cache_stats = cache.stats();
     let (pass, exec) = overall_rates(&parallel.results);
-    let (warm_json, warm_summary) = warm_start_json(args.jobs, &cache, &spec, &corpus, parallel);
+    let (warm_json, warm_summary) = warm_start_json(args.jobs, &cache, &spec, &corpus, &parallel);
 
     let json = format!(
         concat!(
             "{{\"bench\":\"engine\",\"cases\":{},\"available_cores\":{},",
+            "\"measured_parallelism\":{:.4},",
             "\"requested_jobs\":{},\"repeat\":{},\n",
             " \"identical_results\":{},\n",
             " \"pass_rate\":{:.4},\"exec_rate\":{:.4},\n",
@@ -603,8 +432,6 @@ fn main() -> ExitCode {
             " \"speedup\":{:.4},\"speedup_degraded\":{},",
             "\"modeled_speedup\":{:.4},\n",
             " \"critical_path\":{},\n",
-            " \"sched\":{{\"policies\":{},\n",
-            "  \"cost_model\":{}}},\n",
             " \"per_class\":{},\n",
             " \"warm_start\":{},\n",
             " \"cache\":{{\"hits\":{},\"misses\":{},\"entries\":{},",
@@ -612,6 +439,7 @@ fn main() -> ExitCode {
         ),
         corpus.len(),
         cores,
+        measured,
         args.jobs,
         args.repeat,
         identical,
@@ -625,9 +453,7 @@ fn main() -> ExitCode {
         critical_path
             .as_ref()
             .map_or_else(|| "null".to_owned(), |(json, ..)| json.clone()),
-        policy_rows_json(&runs, serial.stats.wall_ms),
-        cost_model_rows_json(&predicted_table, &observed),
-        class_rows_json(parallel),
+        class_rows_json(&parallel),
         warm_json,
         cache_stats.hits,
         cache_stats.misses,
@@ -642,7 +468,7 @@ fn main() -> ExitCode {
     }
 
     println!(
-        "engine bench: {} cases (repeat {}) | {} cores | 1 worker: {:.0} ms ({:.1} cases/s) | {} workers: {:.0} ms ({:.1} cases/s) | speedup {speedup:.2}x",
+        "engine bench: {} cases (repeat {}) | {} cores, measured parallelism {measured:.2} | 1 worker: {:.0} ms ({:.1} cases/s) | {} workers: {:.0} ms ({:.1} cases/s) | speedup {speedup:.2}x (modeled {modeled_speedup:.2}x) | imbalance {}",
         corpus.len(),
         args.repeat,
         cores,
@@ -651,35 +477,19 @@ fn main() -> ExitCode {
         args.jobs,
         parallel.stats.wall_ms,
         parallel.stats.cases_per_sec,
+        parallel
+            .stats
+            .imbalance
+            .map_or_else(|| "n/a".to_owned(), |r| format!("{r:.2}")),
     );
-    for run in &runs {
-        let s = &run.outcome.stats;
-        println!(
-            "  sched {:>12}: wall {:>7.1} ms | speedup {:.2}x (modeled {:.2}x) | steals {} | imbalance {}",
-            run.policy.label(),
-            s.wall_ms,
-            if s.wall_ms > 0.0 {
-                serial.stats.wall_ms / s.wall_ms
-            } else {
-                0.0
-            },
-            run.modeled_speedup,
-            s.sched.steals,
-            s.imbalance
-                .map_or_else(|| "n/a".to_owned(), |r| format!("{r:.2}")),
-        );
-    }
     if let Some((_, line, ..)) = &critical_path {
         println!("{line}");
     }
     if speedup_degraded {
         println!(
-            "note: {} workers on {cores} core(s) — wall speedup is degraded by oversubscription and not gated; modeled_speedup carries the scheduler comparison",
+            "note: {} workers measured {measured:.2}x parallelism (< 0.9 x jobs) — wall speedup is degraded by oversubscription and not gated; modeled_speedup carries the N-worker figure",
             args.jobs,
         );
-    }
-    if let Some(path) = &table_path {
-        println!("cost table written to {}", path.display());
     }
     println!(
         "oracle cache: {} hits / {} misses ({:.1}% hit rate) | parallel sweep: {} executed / {} cached | results identical: {identical} | wrote {}",
@@ -699,23 +509,23 @@ fn main() -> ExitCode {
     let history_row = format!(
         concat!(
             "{{\"date\":\"{}\",\"cases\":{},\"jobs\":{},\"repeat\":{},",
-            "\"policy\":\"{}\",\"speedup\":{:.4},\"modeled_speedup\":{:.4},",
+            "\"speedup\":{:.4},\"modeled_speedup\":{:.4},",
             "\"speedup_bound_sim\":{},\"cache_hit_rate\":{:.4},",
-            "\"exec_rate\":{:.4},\"speedup_degraded\":{}}}\n"
+            "\"exec_rate\":{:.4},\"measured_parallelism\":{:.4},",
+            "\"speedup_degraded\":{}}}\n"
         ),
         utc_date(),
         corpus.len(),
         args.jobs,
         args.repeat,
-        SchedPolicy::Stealing.label(),
         speedup,
         modeled_speedup,
-        critical_path.as_ref().map_or_else(
-            || "null".to_owned(),
-            |(_, _, bound, _)| format!("{bound:.4}")
-        ),
+        critical_path
+            .as_ref()
+            .map_or_else(|| "null".to_owned(), |(_, _, bound)| format!("{bound:.4}")),
         cache_stats.hit_rate(),
         exec.value(),
+        measured,
         speedup_degraded,
     );
     let append = std::fs::OpenOptions::new()

@@ -77,7 +77,7 @@ pub struct RepairOutcome {
 
 /// Records one finished repair into the process-wide metrics registry:
 /// the per-class repair counter and the per-class simulated-latency
-/// histogram — the direct input for the planned scheduler cost model.
+/// histogram the daemon's `metrics` verb exposes.
 fn record_repair_metrics(class: UbClass, sim_ms: f64) {
     let m = rb_obs::metrics();
     m.counter_add("rustbrain_repairs_total", Some(("class", class.label())), 1);

@@ -36,7 +36,7 @@ impl Corpus {
             assert!(!templates.is_empty(), "no templates for class {class}");
             let mut produced = 0usize;
             let mut attempt = 0usize;
-            while produced < per_class && attempt < per_class * 4 {
+            while produced < per_class && attempt < per_class.saturating_mul(4) {
                 let t = templates[attempt % templates.len()];
                 attempt += 1;
                 let CaseSources {

@@ -1,14 +1,16 @@
 //! Engine telemetry: throughput, per-worker utilization, cache
 //! effectiveness, the executed-vs-cached oracle split and knowledge-base
-//! merge accounting, serializable to JSON.
+//! merge accounting, serializable to JSON — plus the virtual-clock model
+//! of the engine's dispatch rule ([`model_schedule`]) and the check of a
+//! traced batch's placement against it ([`PlacementCheck`]).
 //!
 //! The vendored `serde` is a marker stub (see `vendor/README.md`), so the
 //! JSON encoding here is hand-rolled; [`EngineStats::to_json`] emits
 //! strictly valid JSON (finite numbers only, no trailing commas).
 
 use crate::cache::CacheStats;
-use crate::sched::SchedStats;
 use crate::system::CaseResult;
+use rb_obs::analyze::{CriticalPath, SpanTree};
 
 /// Knowledge-base accounting of one batch: how the shared snapshot grew
 /// when the per-job deltas were merged back in submission order.
@@ -80,9 +82,19 @@ pub struct EngineStats {
     /// while `entries`/`evictions`/`capacity` are the cache's absolute
     /// state when the batch finished.
     pub cache: CacheStats,
-    /// Dispatch telemetry: the policy the batch ran under, jobs stolen
-    /// across workers, and the deepest queue at seeding time.
+    /// Dispatch telemetry (see [`SchedStats`]).
     pub sched: SchedStats,
+}
+
+/// Dispatch telemetry of one batch. The engine hands jobs out in
+/// submission order off one shared counter, so no job ever moves between
+/// workers and `steals` is always 0. The struct stays only because the
+/// `perfbench` harness reads `stats.sched.steals` for its
+/// `engine.steals` row; it is not serialized.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct SchedStats {
+    /// Jobs taken from another worker's queue: always 0.
+    pub steals: u64,
 }
 
 /// Formats a float as a finite JSON number (non-finite values collapse to
@@ -173,9 +185,7 @@ impl EngineStats {
                 "\"contributing_jobs\":{},\"coalesced\":{},\"final_entries\":{},",
                 "\"shards_written\":{},\"shards_skipped\":{}}},",
                 "\"cache\":{{\"hits\":{},\"misses\":{},\"entries\":{},",
-                "\"evictions\":{},\"capacity\":{},\"hit_rate\":{}}},",
-                "\"sched\":{{\"policy\":{},\"steals\":{},",
-                "\"max_queue_depth\":{}}}}}"
+                "\"evictions\":{},\"capacity\":{},\"hit_rate\":{}}}}}"
             ),
             self.workers,
             self.cases,
@@ -201,10 +211,125 @@ impl EngineStats {
             self.cache.evictions,
             self.cache.capacity,
             json_num(self.cache.hit_rate()),
-            json_str(&self.sched.policy),
-            self.sched.steals,
-            self.sched.max_queue_depth,
         )
+    }
+}
+
+/// Outcome of a virtual-clock replay of the engine's dispatch rule (see
+/// [`model_schedule`]).
+#[derive(Clone, Debug, PartialEq)]
+pub struct ModeledSchedule {
+    /// Modeled batch wall time: the busiest worker's finish time.
+    pub makespan_ms: f64,
+    /// Modeled per-worker busy time, worker order.
+    pub busy_ms: Vec<f64>,
+    /// Modeled per-worker case counts, worker order.
+    pub worker_cases: Vec<usize>,
+}
+
+impl ModeledSchedule {
+    /// Modeled speedup over a serial run of the same jobs: total work
+    /// divided by the makespan (0 for an empty batch).
+    #[must_use]
+    pub fn speedup(&self) -> f64 {
+        let total: f64 = self.busy_ms.iter().sum();
+        if self.makespan_ms > 0.0 {
+            total / self.makespan_ms
+        } else {
+            0.0
+        }
+    }
+}
+
+/// Replays the engine's dispatch rule under a deterministic virtual
+/// clock: jobs leave in submission order and each goes to the worker
+/// that frees up first (ties to the lowest index). `durations` advances
+/// the clock, e.g. measured per-job wall times from a serial sweep. This
+/// is an idealized N-core machine — exactly what a host without N free
+/// cores cannot measure directly.
+#[must_use]
+pub fn model_schedule(durations: &[f64], workers: usize) -> ModeledSchedule {
+    let workers = workers.max(1);
+    let mut clock = vec![0.0f64; workers];
+    let mut cases = vec![0usize; workers];
+    for &duration in durations {
+        let w = (0..workers)
+            .min_by(|&a, &b| clock[a].total_cmp(&clock[b]).then(a.cmp(&b)))
+            .unwrap_or(0);
+        clock[w] += duration;
+        cases[w] += 1;
+    }
+    ModeledSchedule {
+        makespan_ms: clock.iter().copied().fold(0.0f64, f64::max),
+        busy_ms: clock,
+        worker_cases: cases,
+    }
+}
+
+/// Relative gap within which a trace's speedup bound and the modeled
+/// speedup count as agreeing ([`PlacementCheck::agrees`]).
+pub const PLACEMENT_TOLERANCE: f64 = 0.10;
+
+/// A traced batch's per-worker lanes checked against the dispatch rule.
+///
+/// Live dispatch hands the next job to whichever worker frees up first,
+/// so placement is decided by wall time: the check replays the trace's
+/// `engine.job` wall durations, taken in start (`t_us`) order, through
+/// [`model_schedule`] on as many workers as the trace has lanes, and
+/// compares that speedup with the lanes' wall bound. A gap beyond
+/// [`PLACEMENT_TOLERANCE`] means placement went wrong — unless the host
+/// time-sliced the workers, which is why callers skip the verdict on an
+/// oversubscribed run.
+#[derive(Clone, Debug, PartialEq)]
+pub struct PlacementCheck {
+    /// The trace's per-worker lanes and speedup bounds.
+    pub critical_path: CriticalPath,
+    /// The modeled speedup over the same wall durations.
+    pub modeled_speedup: f64,
+    /// `|bound - modeled| / modeled` (0 when nothing was modeled).
+    pub divergence: f64,
+}
+
+impl PlacementCheck {
+    /// Checks a trace's `engine.job` spans; `None` when it has none.
+    #[must_use]
+    pub fn from_trace(tree: &SpanTree) -> Option<PlacementCheck> {
+        let critical_path = rb_obs::analyze::critical_path(tree);
+        if critical_path.lanes.is_empty() {
+            return None;
+        }
+        let mut jobs: Vec<_> = tree
+            .spans()
+            .iter()
+            .filter(|s| s.name == "engine.job")
+            .collect();
+        jobs.sort_by_key(|s| (s.t_us, s.id));
+        let walls: Vec<f64> = jobs.iter().map(|s| s.wall_us as f64).collect();
+        let modeled_speedup = model_schedule(&walls, critical_path.lanes.len()).speedup();
+        let bound = critical_path.speedup_bound_wall();
+        let divergence = if modeled_speedup > 0.0 {
+            (bound - modeled_speedup).abs() / modeled_speedup
+        } else {
+            0.0
+        };
+        Some(PlacementCheck {
+            critical_path,
+            modeled_speedup,
+            divergence,
+        })
+    }
+
+    /// The trace-side wall bound the check compares.
+    #[must_use]
+    pub fn bound(&self) -> f64 {
+        self.critical_path.speedup_bound_wall()
+    }
+
+    /// Whether the bound and the model agree within
+    /// [`PLACEMENT_TOLERANCE`].
+    #[must_use]
+    pub fn agrees(&self) -> bool {
+        self.divergence <= PLACEMENT_TOLERANCE
     }
 }
 
@@ -268,17 +393,14 @@ mod tests {
                 evictions: 4,
                 capacity: 64,
             },
-            sched: SchedStats {
-                policy: "stealing".to_owned(),
-                steals: 5,
-                max_queue_depth: 2,
-            },
+            sched: SchedStats::default(),
         };
         let json = stats.to_json();
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"workers\":2"));
         assert!(
-            json.contains("\"sched\":{\"policy\":\"stealing\",\"steals\":5,\"max_queue_depth\":2}")
+            !json.contains("sched"),
+            "dispatch telemetry is not serialized"
         );
         assert!(json.contains("\"worker_utilization\":[0.9000,0.8000]"));
         assert!(json.contains("\"imbalance\":2.0000"));
@@ -292,6 +414,68 @@ mod tests {
         assert!(json.contains("\"capacity\":64"));
         assert!(json.contains("\"hit_rate\":0.2500"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
+    }
+
+    #[test]
+    fn modeled_submission_order_goes_to_the_first_free_worker() {
+        // Submission order: the long job lands on worker 0, the next
+        // four short ones on worker 1, and the last one breaks the 4/4
+        // tie toward the lower index.
+        let m = model_schedule(&[4.0, 1.0, 1.0, 1.0, 1.0, 1.0], 2);
+        assert_eq!(m.busy_ms, vec![5.0, 4.0]);
+        assert_eq!(m.worker_cases, vec![2, 4]);
+        assert!((m.makespan_ms - 5.0).abs() < 1e-12);
+        assert!((m.speedup() - 9.0 / 5.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn modeled_empty_and_single_worker_edges() {
+        let empty = model_schedule(&[], 4);
+        assert_eq!(empty.makespan_ms, 0.0);
+        assert_eq!(empty.speedup(), 0.0);
+        let one = model_schedule(&[1.0, 2.0], 1);
+        assert!((one.makespan_ms - 3.0).abs() < 1e-12);
+        assert!((one.speedup() - 1.0).abs() < 1e-12);
+        // Zero workers clamp to one.
+        assert_eq!(model_schedule(&[1.0], 0).worker_cases, vec![1]);
+    }
+
+    #[test]
+    fn placement_check_replays_wall_durations_in_start_order() {
+        // Two lanes laid out exactly as first-free dispatch would place
+        // jobs of 30, 10, 10, 10 ms: the bound and the model agree.
+        let job = |id: u64, t_us: u64, wall_us: u64, worker: &str| rb_obs::analyze::TraceSpan {
+            id,
+            parent: None,
+            name: "engine.job".to_owned(),
+            t_us,
+            wall_us,
+            sim_ms: 1.0,
+            tags: vec![("worker".to_owned(), worker.to_owned())],
+        };
+        let spans = vec![
+            job(1, 0, 30_000, "0"),
+            job(2, 0, 10_000, "1"),
+            job(3, 10_000, 10_000, "1"),
+            job(4, 20_000, 10_000, "1"),
+        ];
+        let check = PlacementCheck::from_trace(&SpanTree::build(spans).unwrap()).unwrap();
+        assert!((check.bound() - 2.0).abs() < 1e-12);
+        assert!((check.modeled_speedup - 2.0).abs() < 1e-12);
+        assert!(check.agrees());
+        // Pile every job on one lane of a two-lane trace: the bound
+        // drops to 1.0 against a modeled 2.0.
+        let spans = vec![
+            job(1, 0, 30_000, "0"),
+            job(2, 30_000, 10_000, "0"),
+            job(3, 40_000, 10_000, "0"),
+            job(4, 50_000, 10_000, "0"),
+            job(5, 0, 0, "1"),
+        ];
+        let check = PlacementCheck::from_trace(&SpanTree::build(spans).unwrap()).unwrap();
+        assert!(!check.agrees(), "divergence {}", check.divergence);
+        // A trace without job spans has nothing to check.
+        assert!(PlacementCheck::from_trace(&SpanTree::build(Vec::new()).unwrap()).is_none());
     }
 
     #[test]

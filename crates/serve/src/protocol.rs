@@ -27,6 +27,9 @@ use rb_miri::UbClass;
 pub const DEFAULT_SEED: u64 = 42;
 /// Default `per_class` when a `batch` request omits it (the CLI default).
 pub const DEFAULT_PER_CLASS: usize = 3;
+/// Largest `per_class` a `batch` request may ask for: 14,000 cases over
+/// every class, so one request cannot make the daemon generate billions.
+pub const MAX_PER_CLASS: usize = 1000;
 
 /// One parsed protocol request.
 #[derive(Clone, Debug, PartialEq)]
@@ -149,6 +152,9 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
                         .ok_or_else(|| "`per_class` must be a positive integer".to_owned())?;
                     if n == 0 {
                         return Err("`per_class` must be at least 1".into());
+                    }
+                    if n > MAX_PER_CLASS {
+                        return Err(format!("`per_class` must be at most {MAX_PER_CLASS}"));
                     }
                     n
                 }
@@ -299,6 +305,22 @@ mod tests {
             v.get("error").and_then(Value::as_str),
             Some("bad \"thing\"")
         );
+    }
+
+    #[test]
+    fn oversized_per_class_is_a_typed_error() {
+        let r = parse_request(r#"{"verb":"batch","per_class":1000}"#).unwrap();
+        assert!(matches!(
+            r,
+            Request::Batch {
+                per_class: 1000,
+                ..
+            }
+        ));
+        let err = parse_request(r#"{"verb":"batch","per_class":1000000000}"#).unwrap_err();
+        assert_eq!(err, "`per_class` must be at most 1000");
+        let v = crate::json::parse(&error_response(&err)).unwrap();
+        assert_eq!(v.get("ok").and_then(Value::as_bool), Some(false));
     }
 
     #[test]

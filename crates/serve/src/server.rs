@@ -27,8 +27,8 @@
 //! store's atomic swap-in, so a crash mid-compaction leaves the old
 //! generation intact.
 
-use std::io::{BufRead, BufReader, BufWriter, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{BufRead, BufReader, BufWriter, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -46,6 +46,12 @@ use rustbrain::{KnowledgeBase, RustBrain, RustBrainConfig};
 use crate::json::{fmt_num, fmt_str};
 use crate::protocol::{error_response, parse_request, Request};
 use crate::stats::{ServeStats, StatsRecorder, Verb};
+
+/// Longest request line the daemon buffers, in bytes (newline
+/// excluded). A longer line is answered with a typed error and the
+/// connection is closed, so a peer cannot make a handler buffer without
+/// limit.
+pub const MAX_REQUEST_BYTES: usize = 1 << 20;
 
 /// How the daemon is wired up: where it listens, how it repairs, and
 /// when it compacts.
@@ -69,10 +75,6 @@ pub struct ServeConfig {
     /// Write a structured JSONL trace of every request (and the repair
     /// spans nested under it) to this file. `None` disables tracing.
     pub trace_out: Option<PathBuf>,
-    /// Scheduling policy the resident engine dispatches batch requests
-    /// under (defaults to work-stealing; results are byte-identical
-    /// under every policy).
-    pub sched: rb_engine::SchedPolicy,
 }
 
 impl Default for ServeConfig {
@@ -85,7 +87,6 @@ impl Default for ServeConfig {
             compact_entries: 0,
             compact_secs: 0,
             trace_out: None,
-            sched: rb_engine::SchedPolicy::default(),
         }
     }
 }
@@ -142,7 +143,7 @@ impl Server {
             ),
             None => None,
         };
-        let mut engine = Engine::with_global_cache(config.jobs).with_policy(config.sched);
+        let mut engine = Engine::with_global_cache(config.jobs);
         if let Some(tracer) = &tracer {
             engine = engine.with_tracer(tracer.clone());
         }
@@ -217,14 +218,15 @@ impl Server {
 }
 
 /// Serves one connection: request lines in, response lines out, until
-/// the peer hangs up or the daemon shuts down.
+/// the peer hangs up, sends a line over [`MAX_REQUEST_BYTES`], or the
+/// daemon shuts down.
 fn handle_connection(state: &Arc<ServeState>, stream: TcpStream) {
     // Bind this handler thread to the daemon's trace sink: every span
     // opened while serving this connection (repair pipeline included)
     // lands in the shared JSONL file. A no-op when tracing is off.
     let _trace_scope = state.tracer.as_ref().map(rb_obs::trace::scope);
     let _ = stream.set_nodelay(true);
-    let reader = match stream.try_clone() {
+    let mut reader = match stream.try_clone() {
         Ok(read_half) => BufReader::new(read_half),
         Err(e) => {
             eprintln!("serve: cannot clone connection: {e}");
@@ -232,15 +234,39 @@ fn handle_connection(state: &Arc<ServeState>, stream: TcpStream) {
         }
     };
     let mut writer = BufWriter::new(stream);
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
+    let mut bytes = Vec::new();
+    loop {
+        bytes.clear();
+        let limit = MAX_REQUEST_BYTES as u64 + 1;
+        match (&mut reader).take(limit).read_until(b'\n', &mut bytes) {
+            Ok(0) | Err(_) => break,
+            Ok(_) => {}
+        }
+        if bytes.last() == Some(&b'\n') {
+            bytes.pop();
+        } else if bytes.len() > MAX_REQUEST_BYTES {
+            let started = Instant::now();
+            let response = error_response(&format!("request exceeds {MAX_REQUEST_BYTES} bytes"));
+            state
+                .stats
+                .record_request(Verb::Error, started.elapsed().as_secs_f64() * 1e3);
+            let _ = writeln!(writer, "{response}").and_then(|()| writer.flush());
+            let _ = writer.get_ref().shutdown(Shutdown::Write);
+            break;
+        }
+        if bytes.last() == Some(&b'\r') {
+            bytes.pop();
+        }
+        let Ok(line) = std::str::from_utf8(&bytes) else {
+            break;
+        };
         if line.trim().is_empty() {
             continue;
         }
         let started = Instant::now();
         let (response, verb) = {
             let mut span = rb_obs::span("serve.request");
-            let (response, verb) = dispatch(state, &line);
+            let (response, verb) = dispatch(state, line);
             span.tag("verb", verb.label());
             span.tag("ok", if verb == Verb::Error { "false" } else { "true" });
             (response, verb)
@@ -449,10 +475,6 @@ fn handle_batch(
         outcome.stats.oracle_executed,
         outcome.stats.oracle_cached,
     );
-    state.stats.record_sched(
-        outcome.stats.sched.steals,
-        outcome.stats.sched.max_queue_depth as u64,
-    );
     maybe_compact(state);
     let (pass_rate, exec_rate) = rates(&outcome.results);
     let cases = outcome.results.len() as u64;
@@ -494,7 +516,6 @@ fn rates(results: &[rb_engine::CaseResult]) -> (f64, f64) {
 /// `--trace-out` is active.
 fn serve_stats(state: &Arc<ServeState>) -> ServeStats {
     let mut stats = state.stats.snapshot();
-    stats.sched_policy = state.config.sched.label().to_owned();
     if let Some(tracer) = &state.tracer {
         stats.trace_active = true;
         stats.trace_spans = tracer.spans_emitted();

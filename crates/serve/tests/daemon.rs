@@ -9,8 +9,11 @@
 //! embedded results document is byte-identical to an eager in-process
 //! run over the same store.
 
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
+use std::time::Duration;
 
 use rb_engine::{results_to_json, Engine, SystemSpec};
 use rb_llm::ModelId;
@@ -20,7 +23,7 @@ use rb_serve::client::{
     stats_request,
 };
 use rb_serve::json::{parse, Value};
-use rb_serve::server::{corpus_requests, seed_store};
+use rb_serve::server::{corpus_requests, seed_store, MAX_REQUEST_BYTES};
 use rb_serve::{Client, ServeConfig, Server};
 use rustbrain::{KnowledgeBase, RustBrainConfig};
 
@@ -144,31 +147,6 @@ fn daemon_faults_in_only_the_shards_traffic_touches() {
     assert_eq!(kb_gauge(&response, "resident_shards"), 2);
     assert_eq!(kb_gauge(&response, "shard_loads"), 2);
 
-    // After a batch the stats snapshot carries the scheduler gauges: the
-    // configured policy (the default, work-stealing) plus the lifetime
-    // steal counter and last-batch queue depth the engine reported.
-    let v = parse(&response).unwrap();
-    let scheduler = v
-        .get("serve")
-        .and_then(|s| s.get("scheduler"))
-        .unwrap_or_else(|| panic!("no serve.scheduler in {response}"));
-    assert_eq!(
-        scheduler.get("policy").and_then(Value::as_str),
-        Some("stealing"),
-        "{response}"
-    );
-    assert!(
-        scheduler.get("steals").and_then(Value::as_u64).is_some(),
-        "{response}"
-    );
-    assert!(
-        scheduler
-            .get("queue_depth")
-            .and_then(Value::as_u64)
-            .is_some(),
-        "{response}"
-    );
-
     // The metrics verb answers with a Prometheus-style exposition that
     // carries a repair-latency histogram for every class this daemon's
     // traffic touched, plus the daemon's own request counters.
@@ -195,17 +173,6 @@ fn daemon_faults_in_only_the_shards_traffic_touches() {
     }
     assert!(
         exposition.contains("rustbrain_serve_requests_total{verb=\"repair\"} 2"),
-        "{exposition}"
-    );
-    // The scheduler series exist even when the tiny batch stole nothing:
-    // recording a zero-delta still registers the counter, and the depth
-    // gauge is set on every batch.
-    assert!(
-        exposition.contains("rustbrain_serve_sched_steals_total"),
-        "{exposition}"
-    );
-    assert!(
-        exposition.contains("rustbrain_serve_sched_queue_depth"),
         "{exposition}"
     );
     assert!(
@@ -361,4 +328,60 @@ fn traced_daemon_reports_span_counts_through_stats() {
         on_disk >= spans,
         "stats reported {spans} spans but the file holds {on_disk}"
     );
+}
+
+#[test]
+fn oversized_request_is_refused_and_the_daemon_keeps_serving() {
+    let server = Server::bind(ServeConfig {
+        addr: "127.0.0.1:0".to_owned(),
+        jobs: 1,
+        handlers: 1,
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    let addr = server.local_addr().to_string();
+    let daemon = std::thread::spawn(move || server.run());
+
+    // A 2 MiB line with no newline: the daemon must stop buffering at
+    // its cap, answer with a typed error and close the connection. The
+    // payload goes out from its own thread because the daemon closes
+    // before it has all arrived, which fails the tail of the write.
+    let stream = TcpStream::connect(&addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let mut write_half = stream.try_clone().unwrap();
+    let writer = std::thread::spawn(move || {
+        let _ = write_half.write_all(&vec![b'x'; 2 * MAX_REQUEST_BYTES]);
+    });
+    let mut response = String::new();
+    BufReader::new(&stream).read_line(&mut response).unwrap();
+    writer.join().unwrap();
+    let v = parse(response.trim_end()).unwrap();
+    assert_eq!(
+        v.get("ok").and_then(Value::as_bool),
+        Some(false),
+        "{response}"
+    );
+    assert!(response.contains("exceeds"), "{response}");
+
+    // A new connection still gets answers, and the refusal counted as
+    // an error.
+    let mut client = Client::connect(&addr).unwrap();
+    let response = client.call(&stats_request()).unwrap();
+    let v = parse(&response).unwrap();
+    assert_eq!(
+        v.get("ok").and_then(Value::as_bool),
+        Some(true),
+        "{response}"
+    );
+    assert_eq!(
+        v.get("serve")
+            .and_then(|s| s.get("errors"))
+            .and_then(Value::as_u64),
+        Some(1),
+        "{response}"
+    );
+    client.call(&shutdown_request()).unwrap();
+    daemon.join().unwrap();
 }
